@@ -11,7 +11,9 @@
 // Determinism is part of the contract: the serialized model bytes must
 // be identical at every thread count, and the bench FAILS otherwise on
 // any machine.  The >= 3x end-to-end speedup gate only fires on 8+ core
-// hardware (mirroring bench_serving_throughput's policy).
+// hardware (mirroring bench_serving_throughput's policy).  Training runs
+// on the corpus's multiset of distinct (fingerprint, UA) rows, so each
+// run also reports how many distinct rows its sessions collapsed into.
 //
 // Output: a human-readable table on stdout plus machine-readable JSON
 // ("BENCH_training.json" in the working directory, or the last
@@ -19,6 +21,7 @@
 //
 // Usage: bench_training_throughput [--smoke] [json_path]
 //   --smoke: small datasets + {1,2} threads; runs in seconds (tier1.sh)
+// The full sweep runs 1, 2, the machine's hardware threads, and 8.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -42,6 +45,7 @@ namespace {
 
 struct RunResult {
   std::size_t rows = 0;
+  std::size_t distinct_rows = 0;  // multiset entries training ran on
   std::size_t threads = 0;
   double generate_seconds = 0.0;
   bp::core::TrainingTimings timings;  // per-stage training wall clock
@@ -77,6 +81,7 @@ RunResult run_configuration(std::size_t rows, std::size_t threads,
   const auto trained = bp::benchmark_support::train_production(
       data, bp::core::PolygraphConfig::production(), obs);
   result.timings = trained.summary.timings;
+  result.distinct_rows = trained.summary.distinct_rows;
 
   const auto publish_start = Clock::now();
   registry.publish(trained.model);
@@ -114,7 +119,10 @@ int main(int argc, char** argv) {
                                                                     200'000};
   std::vector<std::size_t> thread_counts =
       smoke ? std::vector<std::size_t>{1, 2}
-            : std::vector<std::size_t>{1, 2, 8};
+            : std::vector<std::size_t>{1, 2, std::max(1u, hardware), 8};
+  std::sort(thread_counts.begin(), thread_counts.end());
+  thread_counts.erase(std::unique(thread_counts.begin(), thread_counts.end()),
+                      thread_counts.end());
 
   serve::ModelRegistry registry;
   std::vector<RunResult> results;
@@ -146,32 +154,34 @@ int main(int argc, char** argv) {
       if (rows == 200'000) {
         best_speedup_200k = std::max(best_speedup_200k, result.speedup);
       }
-      std::printf("  rows=%-7zu threads=%zu  train=%7.2fs  staleness=%7.2fs  "
-                  "speedup=%.2fx  bytes=%s\n",
-                  result.rows, result.threads, result.timings.total,
-                  result.staleness_seconds, result.speedup,
+      std::printf("  rows=%-7zu distinct=%-6zu threads=%zu  train=%7.3fs  "
+                  "staleness=%7.2fs  speedup=%.2fx  bytes=%s\n",
+                  result.rows, result.distinct_rows, result.threads,
+                  result.timings.total, result.staleness_seconds,
+                  result.speedup,
                   result.bytes_identical ? "identical" : "DIFFER");
       results.push_back(std::move(result));
     }
   }
 
-  util::TextTable table({"rows", "threads", "gen_s", "scale_s", "filter_s",
-                         "pca_s", "kmeans_s", "table_s", "train_s",
-                         "staleness_s", "speedup", "bytes"});
+  util::TextTable table({"rows", "distinct", "threads", "gen_s", "scale_s",
+                         "filter_s", "pca_s", "kmeans_s", "table_s",
+                         "train_s", "staleness_s", "speedup", "bytes"});
   for (const RunResult& r : results) {
     char gen[24], scale[24], filter[24], pca[24], kmeans[24], tab[24],
         total[24], stale[24], speedup[16];
     std::snprintf(gen, sizeof(gen), "%.3f", r.generate_seconds);
-    std::snprintf(scale, sizeof(scale), "%.3f", r.timings.scale);
-    std::snprintf(filter, sizeof(filter), "%.3f", r.timings.filter);
-    std::snprintf(pca, sizeof(pca), "%.3f", r.timings.pca);
-    std::snprintf(kmeans, sizeof(kmeans), "%.3f", r.timings.kmeans);
-    std::snprintf(tab, sizeof(tab), "%.3f", r.timings.table);
-    std::snprintf(total, sizeof(total), "%.3f", r.timings.total);
+    std::snprintf(scale, sizeof(scale), "%.4f", r.timings.scale);
+    std::snprintf(filter, sizeof(filter), "%.4f", r.timings.filter);
+    std::snprintf(pca, sizeof(pca), "%.4f", r.timings.pca);
+    std::snprintf(kmeans, sizeof(kmeans), "%.4f", r.timings.kmeans);
+    std::snprintf(tab, sizeof(tab), "%.4f", r.timings.table);
+    std::snprintf(total, sizeof(total), "%.4f", r.timings.total);
     std::snprintf(stale, sizeof(stale), "%.3f", r.staleness_seconds);
     std::snprintf(speedup, sizeof(speedup), "%.2fx", r.speedup);
-    table.add_row({std::to_string(r.rows), std::to_string(r.threads), gen,
-                   scale, filter, pca, kmeans, tab, total, stale, speedup,
+    table.add_row({std::to_string(r.rows), std::to_string(r.distinct_rows),
+                   std::to_string(r.threads), gen, scale, filter, pca, kmeans,
+                   tab, total, stale, speedup,
                    r.bytes_identical ? "identical" : "DIFFER"});
   }
   std::printf("\ntraining throughput (%u hardware threads%s):\n%s", hardware,
@@ -189,16 +199,17 @@ int main(int argc, char** argv) {
   json += "  \"runs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& r = results[i];
-    char entry[640];
+    char entry[704];
     std::snprintf(
         entry, sizeof(entry),
-        "    {\"rows\": %zu, \"threads\": %zu, \"generate_seconds\": %.4f, "
-        "\"scale_seconds\": %.4f, \"filter_seconds\": %.4f, "
-        "\"pca_seconds\": %.4f, \"kmeans_seconds\": %.4f, "
-        "\"table_seconds\": %.4f, \"train_seconds\": %.4f, "
+        "    {\"rows\": %zu, \"distinct_rows\": %zu, \"threads\": %zu, "
+        "\"generate_seconds\": %.4f, "
+        "\"scale_seconds\": %.5f, \"filter_seconds\": %.5f, "
+        "\"pca_seconds\": %.5f, \"kmeans_seconds\": %.5f, "
+        "\"table_seconds\": %.5f, \"train_seconds\": %.5f, "
         "\"publish_seconds\": %.6f, \"staleness_window_seconds\": %.4f, "
         "\"speedup_vs_single\": %.3f, \"model_bytes_identical\": %s}%s\n",
-        r.rows, r.threads, r.generate_seconds, r.timings.scale,
+        r.rows, r.distinct_rows, r.threads, r.generate_seconds, r.timings.scale,
         r.timings.filter, r.timings.pca, r.timings.kmeans, r.timings.table,
         r.timings.total, r.publish_seconds, r.staleness_seconds, r.speedup,
         r.bytes_identical ? "true" : "false",

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "browser/engine_timelines.h"
@@ -126,24 +128,43 @@ bool in_previous_era_cohort(const Environment& env) {
 
 const CandidateValues& baseline_candidates(Engine engine, int engine_version,
                                            bool previous_era) {
-  // Values are deterministic per (engine, version, cohort); the traffic
-  // generator touches them hundreds of thousands of times, so memoize.
-  // Keyed caching is safe: the process is single-threaded by design (the
-  // simulation is deterministic), and the release set is tiny.
-  static std::map<std::tuple<int, int, bool>, CandidateValues> cache;
-  const auto key = std::make_tuple(static_cast<int>(engine), engine_version,
-                                   previous_era);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-
-  const auto& catalog = FeatureCatalog::instance();
-  CandidateValues values(catalog.candidate_count());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values[i] = previous_era
-                    ? previous_era_value(engine, engine_version, i)
-                    : baseline_value(engine, engine_version, i);
+  // Values are deterministic per (engine, version, cohort) and the
+  // traffic generator reads them hundreds of thousands of times from
+  // parallel shards, so they are tabulated once, for every release in
+  // the database and both cohorts, by a function-local static
+  // initializer (thread-safe by the language); lookups then read an
+  // immutable map without locking.
+  using Key = std::tuple<int, int, bool>;
+  static const std::map<Key, CandidateValues> table = [] {
+    const auto& catalog = FeatureCatalog::instance();
+    std::map<Key, CandidateValues> out;
+    for (const BrowserRelease& release :
+         ReleaseDatabase::instance().releases()) {
+      for (const bool previous : {false, true}) {
+        const Key key{static_cast<int>(release.engine), release.engine_version,
+                      previous};
+        if (out.contains(key)) continue;
+        CandidateValues values(catalog.candidate_count());
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          values[i] = previous ? previous_era_value(release.engine,
+                                                    release.engine_version, i)
+                               : baseline_value(release.engine,
+                                                release.engine_version, i);
+        }
+        out.emplace(key, std::move(values));
+      }
+    }
+    return out;
+  }();
+  const auto it =
+      table.find(Key{static_cast<int>(engine), engine_version, previous_era});
+  if (it == table.end()) {
+    throw std::out_of_range("baseline_candidates: no " +
+                            std::string(engine_name(engine)) + " release " +
+                            std::to_string(engine_version) +
+                            " in the release database");
   }
-  return cache.emplace(key, std::move(values)).first->second;
+  return it->second;
 }
 
 CandidateValues extract_candidates(const Environment& env) {

@@ -31,8 +31,12 @@ namespace bp::browser {
 using CandidateValues = std::vector<int>;  // catalog.candidate_count() wide
 using FinalValues = std::vector<double>;   // the production 28, Table 8 order
 
-// Pristine-install candidate values for an engine release (memoized;
-// `previous_era` selects the staggered-rollout cohort's values).
+// Pristine-install candidate values for an engine release
+// (`previous_era` selects the staggered-rollout cohort's values).  Served
+// from an immutable table over every (engine, engine_version) of the
+// release database, built on first use; safe to call from any number of
+// threads.  Throws std::out_of_range for an engine version the database
+// does not hold.
 const CandidateValues& baseline_candidates(Engine engine, int engine_version,
                                            bool previous_era = false);
 

@@ -9,6 +9,7 @@
 
 #include "browser/engine_timelines.h"
 #include "browser/release_db.h"
+#include "core/fingerprint_counts.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/prof.h"
 
@@ -113,8 +114,14 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
   std::optional<obs::prof::TagScope> stage_scope;
   stage_scope.emplace("train.scale");
 
-  // 1. Scale.  Deviation-based columns are standardized; time-based
-  //    presence bits pass through (§6.4.1).
+  // 1. Collapse + scale.  The corpus becomes its multiset of distinct
+  //    (feature row, UA key) entries with counts, in canonical order;
+  //    every later stage runs on the entries, weighted by their counts.
+  //    Deviation-based columns are standardized; time-based presence
+  //    bits pass through (§6.4.1).
+  const FingerprintCounts corpus =
+      FingerprintCounts::collapse(features, user_agents);
+  summary.distinct_rows = corpus.size();
   const auto& catalog = browser::FeatureCatalog::instance();
   std::vector<bool> scale_column;
   scale_column.reserve(config_.feature_indices.size());
@@ -122,34 +129,40 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
     scale_column.push_back(catalog.spec(idx).kind ==
                            browser::FeatureKind::kDeviationBased);
   }
-  scaler_.fit(features, scale_column);
-  const ml::Matrix scaled = scaler_.transform(features);
+  scaler_.fit(corpus.features, scale_column, corpus.counts);
+  const ml::Matrix scaled = scaler_.transform(corpus.features);
   summary.timings.scale = lap();
   emit_span("scale", 2);
   stage_scope.emplace("train.filter");
 
-  // 2. Outlier filtering (§6.4.1).
+  // 2. Outlier filtering (§6.4.1): scores are computed once per entry;
+  //    the tie rule of IsolationForest::inlier_mask decides how much of
+  //    the boundary entry's count goes.  Entries left with no rows drop.
   ml::IsolationForestConfig forest_config;
   forest_config.seed = config_.seed ^ 0xF0E1D2C3ULL;
   ml::IsolationForest forest(forest_config);
-  forest.fit(scaled);
-  const std::vector<bool> keep =
-      forest.inlier_mask(scaled, config_.contamination);
-  const ml::Matrix filtered = scaled.filter_rows(keep);
-  summary.rows_outliers_removed = scaled.rows() - filtered.rows();
-
-  std::vector<ua::UserAgent> kept_uas;
-  kept_uas.reserve(filtered.rows());
-  for (std::size_t i = 0; i < user_agents.size(); ++i) {
-    if (keep[i]) kept_uas.push_back(user_agents[i]);
+  forest.fit(scaled, corpus.counts);
+  const std::vector<std::size_t> kept =
+      forest.inlier_mask(scaled, config_.contamination, corpus.counts);
+  ml::Matrix inliers;
+  std::vector<std::size_t> counts;
+  std::vector<std::uint32_t> keys;
+  std::size_t rows_kept = 0;
+  for (std::size_t e = 0; e < corpus.size(); ++e) {
+    if (kept[e] == 0) continue;
+    inliers.push_row(scaled.row(e));
+    counts.push_back(kept[e]);
+    keys.push_back(corpus.user_agents[e].key());
+    rows_kept += kept[e];
   }
+  summary.rows_outliers_removed = summary.rows_total - rows_kept;
   summary.timings.filter = lap();
   emit_span("filter", 3);
   stage_scope.emplace("train.pca");
 
   // 3. PCA (§6.4.2).
-  const ml::Matrix projected =
-      pca_.fit_transform(filtered, config_.pca_components);
+  pca_.fit(inliers, config_.pca_components, counts);
+  const ml::Matrix projected = pca_.transform(inliers);
   summary.timings.pca = lap();
   emit_span("pca", 4);
   stage_scope.emplace("train.kmeans");
@@ -160,43 +173,45 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
   kconfig.seed = config_.seed;
   kconfig.n_init = config_.kmeans_restarts;
   kmeans_ = ml::KMeans(kconfig);
-  kmeans_.fit(projected);
+  kmeans_.fit(projected, counts);
   summary.wcss = kmeans_.inertia();
   summary.timings.kmeans = lap();
   emit_span("kmeans", 5);
   stage_scope.emplace("train.table");
 
-  // 5. Majority-cluster table + training accuracy (Appendix-4 Formula 1).
-  std::vector<std::uint32_t> keys;
-  keys.reserve(kept_uas.size());
-  for (const auto& ua : kept_uas) keys.push_back(ua.key());
+  // 5. Majority-cluster table + training accuracy (Appendix-4 Formula 1),
+  //    both counting corpus rows.
   const ml::ClusterAccuracy accuracy =
-      ml::clustering_accuracy(keys, kmeans_.labels());
+      ml::clustering_accuracy(keys, kmeans_.labels(), counts);
   summary.clustering_accuracy = accuracy.row_accuracy;
 
   table_ = ClusterTable();
-  std::map<std::uint32_t, std::size_t> label_rows;
-  for (std::uint32_t key : keys) ++label_rows[key];
   std::map<std::uint32_t, ua::UserAgent> key_to_ua;
-  for (const auto& ua : kept_uas) key_to_ua.emplace(ua.key(), ua);
-
+  for (const ua::UserAgent& ua : corpus.user_agents) {
+    key_to_ua.emplace(ua.key(), ua);
+  }
   for (const auto& [key, cluster] : accuracy.majority) {
     table_.assign(key_to_ua.at(key), cluster);
   }
 
   // 6. Rare-label re-alignment (§6.4.3): user-agents with too few rows
   //    get their cluster from the legitimate baseline fingerprint of the
-  //    candidate-generation stage rather than from noisy live data.
+  //    candidate-generation stage rather than from noisy live data.  A
+  //    user-agent whose every row the filter removed has zero rows left
+  //    and is re-aligned the same way, so it stays in the table.
   if (config_.align_rare_labels) {
+    std::map<std::uint32_t, std::size_t> label_rows;
+    for (std::size_t e = 0; e < keys.size(); ++e) {
+      label_rows[keys[e]] += counts[e];
+    }
     const auto& db = browser::ReleaseDatabase::instance();
-    for (const auto& [key, cluster] : accuracy.majority) {
+    for (const auto& [key, ua] : key_to_ua) {
       if (label_rows[key] >= config_.rare_label_min_rows) continue;
-      const ua::UserAgent ua = key_to_ua.at(key);
       const auto* release = db.find(ua);
       if (release == nullptr) continue;
       const std::vector<double> baseline = baseline_features(*release);
       const std::size_t aligned = predict_cluster(baseline);
-      if (aligned != cluster) {
+      if (table_.expected_cluster(ua) != aligned) {
         table_.assign(ua, aligned);
         ++summary.labels_realigned;
       }

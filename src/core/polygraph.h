@@ -108,7 +108,7 @@ struct Detection {
 // Wall-clock seconds per training stage; bench_training_throughput
 // reports these per thread count to show where a retrain's latency goes.
 struct TrainingTimings {
-  double scale = 0.0;   // scaler fit + transform
+  double scale = 0.0;   // corpus collapse + scaler fit + transform
   double filter = 0.0;  // isolation-forest fit + inlier mask + row filter
   double pca = 0.0;     // covariance + eigenbasis + projection
   double kmeans = 0.0;  // all k-means++ restarts
@@ -118,6 +118,9 @@ struct TrainingTimings {
 
 struct TrainingSummary {
   std::size_t rows_total = 0;
+  // Distinct (feature row, UA key) pairs the rows collapse into; every
+  // stage after the collapse runs once per distinct row.
+  std::size_t distinct_rows = 0;
   std::size_t rows_outliers_removed = 0;
   double clustering_accuracy = 0.0;  // Appendix-4 Formula 1 on training data
   std::size_t labels_realigned = 0;  // rare-UA adjustments applied
@@ -173,10 +176,15 @@ class Polygraph {
   explicit Polygraph(PolygraphConfig config = PolygraphConfig::production());
 
   // Train on feature rows (columns in config.feature_indices order) and
-  // the per-row claimed user-agents.  When `obs` is supplied, each
-  // training stage is reported into its registry (per-stage seconds,
-  // row/outlier counters) and traced as a span under obs->trace_id
-  // (span ids: 1 = train root, 2..6 = scale/filter/pca/kmeans/table).
+  // the per-row claimed user-agents.  The rows are first collapsed into
+  // a FingerprintCounts multiset and every stage runs weighted on its
+  // entries, so the model depends only on the multiset of (row, UA
+  // key) pairs: not on row order, nor on the thread count.  Training
+  // labels (kmeans().labels()) are per multiset entry.  When `obs` is
+  // supplied, each training stage is reported into its registry
+  // (per-stage seconds, row/outlier counters) and traced as a span under
+  // obs->trace_id (span ids: 1 = train root, 2..6 =
+  // scale/filter/pca/kmeans/table).
   TrainingSummary train(const ml::Matrix& features,
                         const std::vector<ua::UserAgent>& user_agents,
                         const obs::ObsContext* obs = nullptr);

@@ -16,6 +16,27 @@ namespace {
 // dispatch overhead).
 constexpr std::size_t kScoreGrain = 1024;
 
+// Inclusive prefix sums of `counts`; empty when counts is empty.
+std::vector<std::size_t> cumulative_counts(RowCounts counts) {
+  std::vector<std::size_t> cumulative(counts.size());
+  std::size_t running = 0;
+  for (std::size_t r = 0; r < counts.size(); ++r) {
+    running += counts[r];
+    cumulative[r] = running;
+  }
+  return cumulative;
+}
+
+// The row holding observation `position` of the expansion that repeats
+// row r counts[r] times, rows in order (the identity for unit counts).
+std::size_t row_of_observation(const std::vector<std::size_t>& cumulative,
+                               std::size_t position) noexcept {
+  if (cumulative.empty()) return position;
+  return static_cast<std::size_t>(
+      std::upper_bound(cumulative.begin(), cumulative.end(), position) -
+      cumulative.begin());
+}
+
 }  // namespace
 
 double IsolationForest::average_path_length(std::size_t n) noexcept {
@@ -121,11 +142,13 @@ double IsolationForest::Tree::path_length(
   }
 }
 
-void IsolationForest::fit(const Matrix& data) {
+void IsolationForest::fit(const Matrix& data, RowCounts counts) {
   assert(data.rows() > 0);
+  assert(counts.empty() || counts.size() == data.rows());
   const bp::util::Rng rng(config_.seed);
-  const std::size_t sample =
-      std::min(config_.max_samples, data.rows());
+  const std::size_t total = total_count(counts, data.rows());
+  const std::vector<std::size_t> cumulative = cumulative_counts(counts);
+  const std::size_t sample = std::min(config_.max_samples, total);
   c_norm_ = std::max(average_path_length(sample), 1e-9);
 
   // Trees are embarrassingly parallel: tree t draws from the pre-split
@@ -138,7 +161,10 @@ void IsolationForest::fit(const Matrix& data) {
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t t = begin; t < end; ++t) {
           bp::util::Rng tree_rng = rng.split(t);
-          auto indices = tree_rng.sample_indices(data.rows(), sample);
+          auto indices = tree_rng.sample_indices(total, sample);
+          for (std::size_t& index : indices) {
+            index = row_of_observation(cumulative, index);
+          }
           trees_[t] = build_tree(data, indices, tree_rng);
         }
       });
@@ -184,6 +210,32 @@ std::vector<bool> IsolationForest::inlier_mask(const Matrix& data,
                    });
   for (std::size_t i = 0; i < drop; ++i) keep[order[i]] = false;
   return keep;
+}
+
+std::vector<std::size_t> IsolationForest::inlier_mask(
+    const Matrix& data, double contamination, RowCounts counts) const {
+  assert(counts.size() == data.rows());
+  std::vector<std::size_t> kept(counts.begin(), counts.end());
+  const std::size_t total = total_count(counts, data.rows());
+  if (contamination <= 0.0 || total == 0) return kept;
+  std::size_t drop = std::min<std::size_t>(
+      total, static_cast<std::size_t>(
+                 std::ceil(contamination * static_cast<double>(total))));
+  if (drop == 0) return kept;
+
+  const std::vector<double> scores = score(data);
+  std::vector<std::size_t> order(data.rows());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return scores[a] != scores[b] ? scores[a] > scores[b] : a < b;
+  });
+  for (std::size_t r : order) {
+    const std::size_t take = std::min(drop, kept[r]);
+    kept[r] -= take;
+    drop -= take;
+    if (drop == 0) break;
+  }
+  return kept;
 }
 
 }  // namespace bp::ml

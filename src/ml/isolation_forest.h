@@ -31,17 +31,41 @@ class IsolationForest {
   explicit IsolationForest(IsolationForestConfig config = {})
       : config_(config) {}
 
-  void fit(const Matrix& data);
+  // Fit on `data`, row r repeated counts[r] times when `counts` is
+  // given.  Tree t subsamples max_samples observation positions of the
+  // expansion (rows in order) from rng.split(t) and maps each position
+  // to its row through the cumulative counts, so a collapsed multiset
+  // grows exactly the trees its expansion would.
+  void fit(const Matrix& data, RowCounts counts = {});
 
-  // Anomaly score in (0, 1); higher = more anomalous.
+  // Anomaly score in (0, 1); higher = more anomalous.  A score depends
+  // only on the point, so scoring a multiset once per distinct row is
+  // exact.
   double score_one(std::span<const double> point) const;
   std::vector<double> score(const Matrix& data) const;
 
   // Rows to KEEP after removing the `contamination` fraction with the
-  // highest anomaly scores (at least the ceil of contamination * n rows
-  // are dropped whenever contamination > 0 and n > 0).
+  // highest anomaly scores (ceil(contamination * n) rows are dropped
+  // whenever contamination > 0 and n > 0).  Rows tied on the boundary
+  // score are split as std::nth_element leaves them; on raw rows,
+  // where duplicates tie, this keeps the paper benches that filter
+  // rows directly (Figs. 3-4) on their recorded outputs.
   std::vector<bool> inlier_mask(const Matrix& data,
                                 double contamination) const;
+
+  // Multiset form: how many of row r's counts[r] observations to KEEP.
+  // Exactly ceil(contamination * sum(counts)) observations are dropped
+  // (capped at the total).  Tie rule: rows are taken in order of
+  // (score descending, row index ascending), each dropped whole while
+  // the remaining quota covers its count; the boundary row loses only
+  // the remainder of the quota and keeps the rest of its count.  Rows
+  // of a collapsed multiset are in canonical order, so the result is a
+  // function of the multiset alone.  With unit counts this drops the
+  // rows the mask above drops whenever no two rows tie on the boundary
+  // score.
+  std::vector<std::size_t> inlier_mask(const Matrix& data,
+                                       double contamination,
+                                       RowCounts counts) const;
 
   bool fitted() const noexcept { return !trees_.empty(); }
 

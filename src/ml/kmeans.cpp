@@ -40,15 +40,18 @@ std::pair<std::size_t, double> nearest_centroid(
 // once per iteration instead of twice.
 struct AssignPartial {
   std::vector<double> sums;         // k * d, empty when not accumulating
-  std::vector<std::size_t> counts;  // k
+  std::vector<std::size_t> counts;  // k, observations per cluster
   double inertia = 0.0;
 };
 
 // Assign rows [begin, end) to their nearest centroid, writing labels in
 // place (row-disjoint across chunks) and returning the chunk partial.
-AssignPartial assign_rows(const Matrix& data, const Matrix& centroids,
-                          std::size_t begin, std::size_t end,
-                          std::vector<std::size_t>& labels, bool accumulate) {
+// A row of count w adds w observations: w * point to its cluster sum,
+// w * d^2 to the inertia.
+AssignPartial assign_rows(const Matrix& data, RowCounts row_counts,
+                          const Matrix& centroids, std::size_t begin,
+                          std::size_t end, std::vector<std::size_t>& labels,
+                          bool accumulate) {
   const std::size_t k = centroids.rows();
   const std::size_t d = centroids.cols();
   AssignPartial partial;
@@ -60,18 +63,20 @@ AssignPartial assign_rows(const Matrix& data, const Matrix& centroids,
     const auto point = data.row(i);
     const auto [best_c, best] = nearest_centroid(point, centroids);
     labels[i] = best_c;
-    partial.inertia += best;
+    const double w = row_weight(row_counts, i);
+    partial.inertia += w * best;
     if (accumulate) {
-      ++partial.counts[best_c];
+      partial.counts[best_c] += row_counts.empty() ? 1 : row_counts[i];
       double* s = &partial.sums[best_c * d];
-      for (std::size_t j = 0; j < d; ++j) s[j] += point[j];
+      for (std::size_t j = 0; j < d; ++j) s[j] += w * point[j];
     }
   }
   return partial;
 }
 
 // One full assignment sweep as an ordered parallel reduction.
-AssignPartial assign_sweep(const Matrix& data, const Matrix& centroids,
+AssignPartial assign_sweep(const Matrix& data, RowCounts row_counts,
+                           const Matrix& centroids,
                            std::vector<std::size_t>& labels,
                            bool accumulate) {
   const std::size_t k = centroids.rows();
@@ -84,7 +89,8 @@ AssignPartial assign_sweep(const Matrix& data, const Matrix& centroids,
   return bp::util::parallel_reduce(
       std::size_t{0}, data.rows(), kAssignGrain, std::move(init),
       [&](std::size_t begin, std::size_t end) {
-        return assign_rows(data, centroids, begin, end, labels, accumulate);
+        return assign_rows(data, row_counts, centroids, begin, end, labels,
+                           accumulate);
       },
       [](AssignPartial& acc, AssignPartial&& part) {
         acc.inertia += part.inertia;
@@ -97,15 +103,28 @@ AssignPartial assign_sweep(const Matrix& data, const Matrix& centroids,
       });
 }
 
+// A uniformly drawn observation of the expanded multiset, as its row.
+// Linear in the rows, but drawn only once or twice per restart.
+std::size_t draw_row(RowCounts counts, std::size_t total,
+                     bp::util::Rng& rng) {
+  std::size_t position = static_cast<std::size_t>(rng.below(total));
+  if (counts.empty()) return position;
+  std::size_t row = 0;
+  while (position >= counts[row]) position -= counts[row++];
+  return row;
+}
+
 }  // namespace
 
-Matrix KMeans::init_plus_plus(const Matrix& data, bp::util::Rng& rng) const {
+Matrix KMeans::init_plus_plus(const Matrix& data, RowCounts counts,
+                              bp::util::Rng& rng) const {
   const std::size_t n = data.rows();
+  const std::size_t total_rows = total_count(counts, n);
   const std::size_t k = config_.k;
   Matrix centroids(k, data.cols());
 
-  // First centroid: uniform.
-  std::size_t first = static_cast<std::size_t>(rng.below(n));
+  // First centroid: a uniform observation.
+  std::size_t first = draw_row(counts, total_rows, rng);
   std::copy_n(data.row(first).data(), data.cols(), centroids.row(0).data());
 
   std::vector<double> min_d2(n, std::numeric_limits<double>::max());
@@ -113,6 +132,7 @@ Matrix KMeans::init_plus_plus(const Matrix& data, bp::util::Rng& rng) const {
     // Update distances to the nearest chosen centroid.  Row-disjoint
     // min_d2 updates run in parallel; only the total is reduced, in
     // chunk order, so the k-means++ weights are thread-count invariant.
+    // A row's seeding weight is count * D^2.
     const auto prev = centroids.row(c - 1);
     const double total = bp::util::parallel_reduce(
         std::size_t{0}, n, kAssignGrain, 0.0,
@@ -122,22 +142,23 @@ Matrix KMeans::init_plus_plus(const Matrix& data, bp::util::Rng& rng) const {
             const double d2 =
                 squared_distance_bounded(data.row(i), prev, min_d2[i]);
             if (d2 < min_d2[i]) min_d2[i] = d2;
-            chunk_total += min_d2[i];
+            chunk_total += row_weight(counts, i) * min_d2[i];
           }
           return chunk_total;
         },
         [](double& acc, double part) { acc += part; });
     std::size_t chosen = 0;
     if (total <= 0.0) {
-      chosen = static_cast<std::size_t>(rng.below(n));
+      chosen = draw_row(counts, total_rows, rng);
     } else {
       double target = rng.uniform() * total;
       for (std::size_t i = 0; i < n; ++i) {
-        if (target < min_d2[i]) {
+        const double weight = row_weight(counts, i) * min_d2[i];
+        if (target < weight) {
           chosen = i;
           break;
         }
-        target -= min_d2[i];
+        target -= weight;
         chosen = i;  // numeric slop: fall through to the last point
       }
     }
@@ -147,20 +168,20 @@ Matrix KMeans::init_plus_plus(const Matrix& data, bp::util::Rng& rng) const {
   return centroids;
 }
 
-KMeans::RunResult KMeans::run_once(const Matrix& data,
+KMeans::RunResult KMeans::run_once(const Matrix& data, RowCounts counts,
                                    bp::util::Rng& rng) const {
   const std::size_t n = data.rows();
   const std::size_t d = data.cols();
   const std::size_t k = config_.k;
 
   RunResult result;
-  result.centroids = init_plus_plus(data, rng);
+  result.centroids = init_plus_plus(data, counts, rng);
   result.labels.assign(n, 0);
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     // Assignment step (fused with the update-step accumulation).
     AssignPartial assignment =
-        assign_sweep(data, result.centroids, result.labels, true);
+        assign_sweep(data, counts, result.centroids, result.labels, true);
     result.inertia = assignment.inertia;
 
     // Update step.
@@ -216,12 +237,14 @@ KMeans::RunResult KMeans::run_once(const Matrix& data,
   // Final assignment with the converged centroids so labels and inertia
   // are consistent with what predict() would report.
   result.inertia =
-      assign_sweep(data, result.centroids, result.labels, false).inertia;
+      assign_sweep(data, counts, result.centroids, result.labels, false)
+          .inertia;
   return result;
 }
 
-void KMeans::fit(const Matrix& data) {
+void KMeans::fit(const Matrix& data, RowCounts counts) {
   assert(data.rows() >= config_.k && config_.k > 0);
+  assert(counts.empty() || counts.size() == data.rows());
 
   // The n_init restarts are independent jobs: each draws from its own
   // pre-split RNG stream (split() leaves the parent untouched, so the
@@ -238,7 +261,7 @@ void KMeans::fit(const Matrix& data) {
   bp::util::parallel_for(
       std::size_t{0}, restarts, 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r) {
-          results[r] = run_once(data, streams[r]);
+          results[r] = run_once(data, counts, streams[r]);
         }
       });
 

@@ -7,7 +7,10 @@
 //     keeping the run with the lowest inertia (sklearn's n_init);
 //   * empty-cluster repair by re-seeding from the point farthest from its
 //     centroid;
-//   * deterministic behaviour given an Rng seed.
+//   * deterministic behaviour given an Rng seed;
+//   * row multiplicities (RowCounts): weighted Lloyd, w * D^2 seeding and
+//     a count-weighted first pick, so a collapsed multiset clusters like
+//     its expansion.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +33,10 @@ class KMeans {
  public:
   explicit KMeans(KMeansConfig config = {}) : config_(config) {}
 
-  // Fit on `data` (rows = observations).  Requires data.rows() >= k.
-  void fit(const Matrix& data);
+  // Fit on `data` (rows = observations, row r repeated counts[r] times
+  // when `counts` is given).  Requires data.rows() >= k.  Labels are
+  // per data row; inertia and centroids weigh each row by its count.
+  void fit(const Matrix& data, RowCounts counts = {});
 
   // Nearest-centroid assignment for each row.
   std::vector<std::size_t> predict(const Matrix& data) const;
@@ -61,8 +66,10 @@ class KMeans {
     double inertia = 0.0;
   };
 
-  RunResult run_once(const Matrix& data, bp::util::Rng& rng) const;
-  Matrix init_plus_plus(const Matrix& data, bp::util::Rng& rng) const;
+  RunResult run_once(const Matrix& data, RowCounts counts,
+                     bp::util::Rng& rng) const;
+  Matrix init_plus_plus(const Matrix& data, RowCounts counts,
+                        bp::util::Rng& rng) const;
 
   KMeansConfig config_;
   Matrix centroids_;

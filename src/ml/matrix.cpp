@@ -83,7 +83,8 @@ Matrix Matrix::transposed() const {
   return out;
 }
 
-std::vector<double> Matrix::column_means() const {
+std::vector<double> Matrix::column_means(RowCounts counts) const {
+  assert(counts.empty() || counts.size() == rows_);
   std::vector<double> means(cols_, 0.0);
   if (rows_ == 0) return means;
   means = bp::util::parallel_reduce(
@@ -92,20 +93,23 @@ std::vector<double> Matrix::column_means() const {
         std::vector<double> sums(cols_, 0.0);
         for (std::size_t r = begin; r < end; ++r) {
           const auto src = row(r);
-          for (std::size_t c = 0; c < cols_; ++c) sums[c] += src[c];
+          const double w = row_weight(counts, r);
+          for (std::size_t c = 0; c < cols_; ++c) sums[c] += w * src[c];
         }
         return sums;
       },
       [](std::vector<double>& acc, std::vector<double>&& part) {
         for (std::size_t c = 0; c < acc.size(); ++c) acc[c] += part[c];
       });
-  for (double& m : means) m /= static_cast<double>(rows_);
+  const double total = static_cast<double>(total_count(counts, rows_));
+  for (double& m : means) m /= total;
   return means;
 }
 
-std::vector<double> Matrix::column_stddevs(
-    const std::vector<double>& means) const {
+std::vector<double> Matrix::column_stddevs(const std::vector<double>& means,
+                                           RowCounts counts) const {
   assert(means.size() == cols_);
+  assert(counts.empty() || counts.size() == rows_);
   std::vector<double> var(cols_, 0.0);
   if (rows_ == 0) return var;
   var = bp::util::parallel_reduce(
@@ -114,9 +118,10 @@ std::vector<double> Matrix::column_stddevs(
         std::vector<double> sums(cols_, 0.0);
         for (std::size_t r = begin; r < end; ++r) {
           const auto src = row(r);
+          const double w = row_weight(counts, r);
           for (std::size_t c = 0; c < cols_; ++c) {
             const double d = src[c] - means[c];
-            sums[c] += d * d;
+            sums[c] += w * (d * d);
           }
         }
         return sums;
@@ -124,8 +129,16 @@ std::vector<double> Matrix::column_stddevs(
       [](std::vector<double>& acc, std::vector<double>&& part) {
         for (std::size_t c = 0; c < acc.size(); ++c) acc[c] += part[c];
       });
-  for (double& v : var) v = std::sqrt(v / static_cast<double>(rows_));
+  const double total = static_cast<double>(total_count(counts, rows_));
+  for (double& v : var) v = std::sqrt(v / total);
   return var;
+}
+
+std::size_t total_count(RowCounts counts, std::size_t rows) noexcept {
+  if (counts.empty()) return rows;
+  std::size_t total = 0;
+  for (std::size_t c : counts) total += c;
+  return total;
 }
 
 double squared_distance(std::span<const double> a,

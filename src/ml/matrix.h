@@ -15,6 +15,21 @@
 
 namespace bp::ml {
 
+// Row multiplicities of a weighted fit: row r of the data stands for
+// counts[r] identical observations, so a collapsed multiset (one row
+// per distinct fingerprint) trains exactly like its expansion.  An
+// empty span means every row counts once; an explicit span of ones
+// gives bit-identical results, because every weighted sum multiplies
+// by the weight (x * 1.0 == x) and every divisor is the count total.
+using RowCounts = std::span<const std::size_t>;
+
+inline double row_weight(RowCounts counts, std::size_t row) noexcept {
+  return counts.empty() ? 1.0 : static_cast<double>(counts[row]);
+}
+
+// Number of observations `rows` data rows stand for.
+std::size_t total_count(RowCounts counts, std::size_t rows) noexcept;
+
 class Matrix {
  public:
   Matrix() = default;
@@ -68,9 +83,11 @@ class Matrix {
 
   Matrix transposed() const;
 
-  // Per-column mean / (population) standard deviation.
-  std::vector<double> column_means() const;
-  std::vector<double> column_stddevs(const std::vector<double>& means) const;
+  // Per-column mean / (population) standard deviation.  With `counts`,
+  // row r stands for counts[r] identical observations (see RowCounts).
+  std::vector<double> column_means(RowCounts counts = {}) const;
+  std::vector<double> column_stddevs(const std::vector<double>& means,
+                                     RowCounts counts = {}) const;
 
  private:
   std::size_t rows_ = 0;

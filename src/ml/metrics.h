@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 namespace bp::ml {
@@ -27,8 +28,12 @@ struct ClusterAccuracy {
   std::map<std::uint32_t, std::size_t> majority;  // label -> cluster
 };
 
+// With `counts`, pair i stands for counts[i] rows (an empty span means
+// one each): majorities, total_rows and correct_rows count rows of the
+// expanded multiset.
 ClusterAccuracy clustering_accuracy(const std::vector<std::uint32_t>& labels,
-                                    const std::vector<std::size_t>& clusters);
+                                    const std::vector<std::size_t>& clusters,
+                                    std::span<const std::size_t> counts = {});
 
 // Per-label accuracy: the fraction of a single label's rows assigned to
 // that label's majority cluster (used by the drift analysis, Table 6).

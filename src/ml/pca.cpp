@@ -89,24 +89,29 @@ void symmetric_eigen(const Matrix& a_in, std::vector<double>& eigenvalues,
   }
 }
 
-void Pca::fit(const Matrix& data, std::size_t n_components) {
-  assert(data.rows() > 1 && data.cols() > 0);
+void Pca::fit(const Matrix& data, std::size_t n_components,
+              RowCounts counts) {
+  const std::size_t total = total_count(counts, data.rows());
+  assert(total > 1 && data.cols() > 0);
+  assert(counts.empty() || counts.size() == data.rows());
   const std::size_t d = data.cols();
   n_components_ = std::min(n_components, d);
-  mean_ = data.column_means();
+  mean_ = data.column_means(counts);
 
   // Covariance (sample, divisor n-1, matching sklearn) as a blocked
   // parallel reduction over rows: each chunk accumulates its own upper
-  // triangle, merged in chunk order.
-  const double denom = static_cast<double>(data.rows() - 1);
+  // triangle, merged in chunk order.  A row of weight w adds
+  // (w * d_i) * d_j, which is d_i * d_j exactly when w == 1.
+  const double denom = static_cast<double>(total - 1);
   Matrix cov = bp::util::parallel_reduce(
       std::size_t{0}, data.rows(), kRowGrain, Matrix(d, d),
       [&](std::size_t begin, std::size_t end) {
         Matrix partial(d, d);
         for (std::size_t r = begin; r < end; ++r) {
           const auto row = data.row(r);
+          const double w = row_weight(counts, r);
           for (std::size_t i = 0; i < d; ++i) {
-            const double di = row[i] - mean_[i];
+            const double di = w * (row[i] - mean_[i]);
             if (di == 0.0) continue;
             for (std::size_t j = i; j < d; ++j) {
               partial(i, j) += di * (row[j] - mean_[j]);

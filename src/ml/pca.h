@@ -27,8 +27,10 @@ class Pca {
  public:
   // Fit retaining `n_components` components (clamped to the feature
   // count).  Data is centered internally; callers typically standardize
-  // first, matching the paper's pipeline.
-  void fit(const Matrix& data, std::size_t n_components);
+  // first, matching the paper's pipeline.  With `counts`, mean and
+  // covariance are those of the expanded multiset (divisor total - 1).
+  void fit(const Matrix& data, std::size_t n_components,
+           RowCounts counts = {});
 
   Matrix transform(const Matrix& data) const;
   Matrix fit_transform(const Matrix& data, std::size_t n_components);

@@ -17,10 +17,11 @@ void StandardScaler::fit(const Matrix& data) {
 }
 
 void StandardScaler::fit(const Matrix& data,
-                         const std::vector<bool>& scale_column) {
+                         const std::vector<bool>& scale_column,
+                         RowCounts counts) {
   assert(scale_column.size() == data.cols());
-  means_ = data.column_means();
-  stddevs_ = data.column_stddevs(means_);
+  means_ = data.column_means(counts);
+  stddevs_ = data.column_stddevs(means_, counts);
   for (std::size_t c = 0; c < data.cols(); ++c) {
     if (!scale_column[c]) {
       means_[c] = 0.0;

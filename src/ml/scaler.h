@@ -22,7 +22,10 @@ class StandardScaler {
 
   // Fit, but leave columns with `scale_column[c] == false` untouched
   // (identity transform).  `scale_column` must have data.cols() entries.
-  void fit(const Matrix& data, const std::vector<bool>& scale_column);
+  // With `counts`, the moments are those of the expanded multiset (row
+  // r weighted counts[r]; see RowCounts).
+  void fit(const Matrix& data, const std::vector<bool>& scale_column,
+           RowCounts counts = {});
 
   // Apply the fitted transform.  Columns whose training standard
   // deviation was zero are centered only (sklearn behaviour).

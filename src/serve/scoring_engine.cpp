@@ -113,12 +113,14 @@ bool ScoringEngine::try_cached_submit(const ScoreRequest& request) {
   response.latency = std::chrono::microseconds{0};  // sub-microsecond
   metrics_.record_cached(/*stripe=*/0, detection.flagged, 0,
                          exemplar_trace_id(request));
-  if (on_response_) on_response_(response);
   record_audit(request, response);
   if (config_.trace != nullptr) {
+    // Admitted, picked up and answered within this submit call; the
+    // request carries no admission stamp on this path.
     const std::int64_t now_us = steady_now_us();
-    record_request_trace(request, "cache_hit", now_us, now_us);
+    record_request_trace(request, "cache_hit", now_us, now_us, now_us);
   }
+  if (on_response_) on_response_(response);
   return true;
 }
 
@@ -168,11 +170,11 @@ SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
 
 void ScoringEngine::record_request_trace(const ScoreRequest& request,
                                          const char* terminal,
+                                         std::int64_t admitted_us,
                                          std::int64_t picked_up_us,
                                          std::int64_t done_us) const {
   obs::TraceSink* sink = config_.trace;
   if (sink == nullptr) return;
-  const std::int64_t admitted_us = to_us(request.admitted_at);
   if (request.trace_id != 0) {
     // Adopted cross-hop context: the client already decided sampling
     // for the whole trace — honor it in both directions (record_forced
@@ -297,9 +299,10 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
             worker_index, response.detection.flagged,
             static_cast<std::uint64_t>(response.latency.count()),
             exemplar_trace_id(request));
-        if (on_response_) on_response_(response);
         record_audit(request, response);
-        record_request_trace(request, "degrade", to_us(picked_up), to_us(done));
+        record_request_trace(request, "degrade", to_us(request.admitted_at),
+                             to_us(picked_up), to_us(done));
+        if (on_response_) on_response_(response);
         ++answered_in_batch;
       }
       if (answered_in_batch > 0) note_completed(answered_in_batch);
@@ -385,9 +388,10 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
             worker_index, response.detection.flagged,
             static_cast<std::uint64_t>(response.latency.count()),
             exemplar_trace_id(request));
-        if (on_response_) on_response_(response);
         record_audit(request, response);
-        record_request_trace(request, "score", to_us(picked_up), to_us(done));
+        record_request_trace(request, "score", to_us(request.admitted_at),
+                             to_us(picked_up), to_us(done));
+        if (on_response_) on_response_(response);
         if (cache_ != nullptr) {
           cache_->insert(request.cache_key, snapshot.version, detections[p],
                          worker_index);
@@ -437,8 +441,9 @@ void ScoringEngine::deliver_shed(ScoreRequest request,
   } else {
     metrics_.record_shed(worker_index);
   }
+  record_request_trace(request, "shed", to_us(request.admitted_at),
+                       to_us(done), to_us(done));
   if (on_response_) on_response_(response);
-  record_request_trace(request, "shed", to_us(done), to_us(done));
   note_completed(1);
 }
 
@@ -452,8 +457,9 @@ void ScoringEngine::deliver_deadline_exceeded(ScoreRequest request,
   response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
       done - request.admitted_at);
   metrics_.record_deadline_exceeded(worker_index);
+  record_request_trace(request, "deadline", to_us(request.admitted_at),
+                       to_us(done), to_us(done));
   if (on_response_) on_response_(response);
-  record_request_trace(request, "deadline", to_us(done), to_us(done));
   note_completed(1);
 }
 
@@ -474,9 +480,10 @@ void ScoringEngine::deliver_cached(
   metrics_.record_cached(stripe, detection.flagged,
                          static_cast<std::uint64_t>(response.latency.count()),
                          exemplar_trace_id(request));
-  if (on_response_) on_response_(response);
   record_audit(request, response);
-  record_request_trace(request, "cache_hit", to_us(picked_up), to_us(done));
+  record_request_trace(request, "cache_hit", to_us(request.admitted_at),
+                       to_us(picked_up), to_us(done));
+  if (on_response_) on_response_(response);
 }
 
 void ScoringEngine::note_completed(std::uint64_t n) {

@@ -189,6 +189,8 @@ class ScoringEngine {
   // Starts the worker pool immediately.  `registry` must outlive the
   // engine; scoring waits (requests queue up) until the registry has a
   // published model, unless degrade_without_model answers them first.
+  // On every answer path `on_response` runs last: by the time a caller
+  // holds a verdict, its audit record and trace spans already exist.
   ScoringEngine(const ModelRegistry& registry, EngineConfig config,
                 ResponseCallback on_response);
   ~ScoringEngine();
@@ -235,7 +237,10 @@ class ScoringEngine {
 
   void worker_loop(std::uint32_t worker_index);
   void watchdog_loop();
+  // Records the request's spans; `admitted_us` is request.admitted_at
+  // except on the submit-side cache path, which never stamps one.
   void record_request_trace(const ScoreRequest& request, const char* terminal,
+                            std::int64_t admitted_us,
                             std::int64_t picked_up_us,
                             std::int64_t done_us) const;
   // The trace id this request's spans land under when its trace is

@@ -1,6 +1,7 @@
 #include "util/rng.h"
 
 #include <cmath>
+#include <unordered_map>
 
 namespace bp::util {
 
@@ -72,16 +73,25 @@ std::size_t Rng::weighted(std::span<const double> weights) noexcept {
 std::vector<std::size_t> Rng::sample_indices(std::size_t n,
                                              std::size_t k) noexcept {
   if (k > n) k = n;
-  // Partial Fisher-Yates over an index vector.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  // Partial Fisher-Yates over a virtual index vector idx[p] = p: only
+  // the slots a swap has displaced are materialized, so the cost is
+  // O(k) whatever n is.  Draws and output match the dense shuffle.
+  std::vector<std::size_t> out(k);
+  std::unordered_map<std::size_t, std::size_t> displaced;
+  displaced.reserve(k);
+  auto value_at = [&](std::size_t p) {
+    const auto it = displaced.find(p);
+    return it != displaced.end() ? it->second : p;
+  };
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + static_cast<std::size_t>(below(n - i));
-    using std::swap;
-    swap(idx[i], idx[j]);
+    // Slot i is never read again (later draws land at j >= i + 1), so
+    // only slot j needs the value swapped out of slot i.
+    const std::size_t at_i = value_at(i);
+    out[i] = value_at(j);
+    displaced[j] = at_i;
   }
-  idx.resize(k);
-  return idx;
+  return out;
 }
 
 }  // namespace bp::util

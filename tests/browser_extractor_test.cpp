@@ -2,7 +2,11 @@
 // SimulatedDom consistency, and the per-install jitter envelope.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "browser/engine_timelines.h"
 #include "browser/extractor.h"
@@ -41,6 +45,45 @@ std::uint64_t quiet_salt(ua::Vendor vendor, int version) {
   }
   ADD_FAILURE() << "no quiet salt found";
   return 0;
+}
+
+// ctest runs each case in its own process, so these are the table's
+// first lookups: the threads race its one-time construction (the TSan
+// pass sees any unsynchronized write), then must agree on one table.
+TEST(BaselineTable, ConcurrentFirstCallsShareOneTable) {
+  constexpr std::size_t kThreads = 4;
+  const int versions[kThreads] = {112, 105, 112, 96};
+  std::vector<const CandidateValues*> seen(kThreads, nullptr);
+  std::atomic<std::size_t> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      waiting.fetch_sub(1);
+      while (waiting.load() != 0) std::this_thread::yield();
+      seen[t] = &baseline_candidates(Engine::kBlink, versions[t], t % 2 == 1);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(seen[0], seen[2]);  // same key, same entry
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_NE(seen[t], nullptr);
+    const bool previous = t % 2 == 1;
+    for (std::size_t i = 0; i < seen[t]->size(); ++i) {
+      ASSERT_EQ((*seen[t])[i],
+                previous ? previous_era_value(Engine::kBlink, versions[t], i)
+                         : baseline_value(Engine::kBlink, versions[t], i))
+          << "version " << versions[t] << " candidate " << i;
+    }
+  }
+}
+
+TEST(BaselineTable, CoversEveryReleaseAndRejectsOthers) {
+  for (const BrowserRelease& r : ReleaseDatabase::instance().releases()) {
+    EXPECT_EQ(baseline_candidates(r.engine, r.engine_version).size(),
+              FeatureCatalog::instance().candidate_count());
+  }
+  EXPECT_THROW(baseline_candidates(Engine::kBlink, 9999), std::out_of_range);
+  EXPECT_THROW(baseline_candidates(Engine::kWebKit, 17), std::out_of_range);
 }
 
 TEST(Extractor, PristineMatchesBaseline) {

@@ -38,6 +38,13 @@ TEST(ObsGaugeRace, RemoveExcludesInFlightScrapes) {
     }
   });
 
+  // Start latch: the loop below races live scrapes only once the
+  // scraper has completed one (on a multicore box the loop could
+  // otherwise finish before the scraper thread even starts).
+  while (scrapes.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+
   // Register/remove a callback gauge whose referent is heap state that
   // is poisoned immediately after remove() returns.  A render invoking
   // the callback after remove would read the poison.

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <bit>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -339,6 +340,61 @@ TEST(VerdictCacheEngine, SubmitSideHitAnswersSynchronously) {
     EXPECT_TRUE(collected.responses[1].cached);
   }
   engine.stop();
+}
+
+// A submit-side hit is admitted by the submit call itself, so its
+// spans must start inside that call, on both tracing paths: the
+// adopted cross-hop context (server_request root) and local head
+// sampling (request root).
+TEST(VerdictCacheEngine, TracedSubmitSideHitStartsInsideTheSubmitCall) {
+  ModelRegistry registry;
+  ASSERT_GT(registry.publish(make_model(false)), 0u);
+  obs::TraceSink sink({.capacity = 64, .sample_rate = 1.0});
+  Collected collected;
+  EngineConfig config;
+  config.workers = 1;
+  config.cache_capacity = 256;
+  config.trace = &sink;
+  ScoringEngine engine(registry, config, collected.callback());
+
+  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
+  engine.drain();  // the miss that fills the cache
+
+  ScoreRequest adopted = request_at_origin(2);
+  adopted.trace_id = 0xABCDEF;
+  adopted.trace_parent = 3;
+  adopted.trace_sampled = true;
+  const std::int64_t adopted_before = obs::steady_now_us();
+  ASSERT_EQ(engine.submit(adopted), SubmitResult::kAdmitted);
+  const std::int64_t adopted_after = obs::steady_now_us();
+
+  const std::int64_t local_before = obs::steady_now_us();
+  ASSERT_EQ(engine.submit(request_at_origin(3)), SubmitResult::kAdmitted);
+  const std::int64_t local_after = obs::steady_now_us();
+  engine.stop();
+
+  {
+    std::lock_guard lock(collected.mutex);
+    ASSERT_EQ(collected.responses.size(), 3u);
+    EXPECT_TRUE(collected.responses[1].cached);
+    EXPECT_TRUE(collected.responses[2].cached);
+  }
+  int roots = 0;
+  for (const obs::TraceEvent& event : sink.events()) {
+    const std::string name = event.name;
+    if (event.trace_id == adopted.trace_id && name == "server_request") {
+      ++roots;
+      EXPECT_GE(event.start_us, adopted_before);
+      EXPECT_LE(event.start_us, adopted_after);
+      EXPECT_LE(event.end_us, adopted_after);
+    } else if (event.trace_id == 3 && name == "request") {
+      ++roots;
+      EXPECT_GE(event.start_us, local_before);
+      EXPECT_LE(event.start_us, local_after);
+      EXPECT_LE(event.end_us, local_after);
+    }
+  }
+  EXPECT_EQ(roots, 2);
 }
 
 TEST(VerdictCacheEngine, DisabledByDefaultAndStatsAreZero) {

@@ -1,9 +1,11 @@
 // Determinism across thread counts — the hard requirement of the
 // parallel training pipeline: the SAME seed must produce bit-identical
-// models, labels, and generated traffic whether the pool runs 1, 2, or
-// 8 threads.  Every parallel region decomposes work by a fixed grain
+// models, labels, and generated traffic whether the pool runs 1, 2, 4
+// or 8 threads.  Every parallel region decomposes work by a fixed grain
 // (never by thread count) and merges partials in chunk order, so these
-// suites compare serialized bytes with plain string equality.
+// suites compare serialized bytes with plain string equality.  Training
+// runs on the corpus's multiset of fingerprints, so the model must not
+// depend on the order of the rows either.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -20,7 +22,7 @@
 namespace bp {
 namespace {
 
-constexpr std::size_t kThreadCounts[] = {1, 2, 8};
+constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
 // Restores the default pool size so thread-count experiments cannot
 // leak into unrelated suites.
@@ -66,8 +68,9 @@ TEST_F(TrainingDeterminismTest, GeneratedTrafficIdenticalAcrossThreadCounts) {
     }
     digests.push_back(std::move(digest));
   }
-  EXPECT_EQ(digests[0], digests[1]);
-  EXPECT_EQ(digests[0], digests[2]);
+  for (std::size_t i = 1; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[0], digests[i]) << kThreadCounts[i] << " threads";
+  }
 }
 
 TEST_F(TrainingDeterminismTest, SerializedModelBytesIdenticalAcrossThreadCounts) {
@@ -90,17 +93,22 @@ TEST_F(TrainingDeterminismTest, SerializedModelBytesIdenticalAcrossThreadCounts)
     serialized.push_back(core::serialize_model(model));
     labels.push_back(model.kmeans().labels());
   }
-  // Bit-identical model bytes: scaler moments, PCA basis, centroids,
-  // and the UA <-> cluster table all round through the same text.
-  EXPECT_EQ(serialized[0], serialized[1]) << "1 vs 2 threads";
-  EXPECT_EQ(serialized[0], serialized[2]) << "1 vs 8 threads";
-  // Identical cluster labels, row by row.
-  ASSERT_EQ(labels[0].size(), labels[1].size());
-  ASSERT_EQ(labels[0].size(), labels[2].size());
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[0], labels[2]);
+  for (std::size_t i = 1; i < serialized.size(); ++i) {
+    // Bit-identical model bytes: scaler moments, PCA basis, centroids,
+    // and the UA <-> cluster table all round through the same text.
+    EXPECT_EQ(serialized[0], serialized[i]) << kThreadCounts[i] << " threads";
+    // Identical cluster labels, multiset entry by entry.
+    EXPECT_EQ(labels[0], labels[i]) << kThreadCounts[i] << " threads";
+  }
+  EXPECT_GT(summaries[0].distinct_rows, 0u);
+  EXPECT_LT(summaries[0].distinct_rows, summaries[0].rows_total);
+  // One label per entry that survived the outlier filter.
+  EXPECT_LE(labels[0].size(), summaries[0].distinct_rows);
+  EXPECT_GE(labels[0].size() + summaries[0].rows_outliers_removed,
+            summaries[0].distinct_rows);
   // And the summary statistics that derive from them.
   for (std::size_t i = 1; i < summaries.size(); ++i) {
+    EXPECT_EQ(summaries[0].distinct_rows, summaries[i].distinct_rows);
     EXPECT_EQ(summaries[0].rows_outliers_removed,
               summaries[i].rows_outliers_removed);
     EXPECT_EQ(summaries[0].wcss, summaries[i].wcss);
@@ -123,8 +131,37 @@ TEST_F(TrainingDeterminismTest, IsolationForestScoresIdenticalAcrossThreads) {
     forest.fit(features);
     scores.push_back(forest.score(features));
   }
-  EXPECT_EQ(scores[0], scores[1]);
-  EXPECT_EQ(scores[0], scores[2]);
+  for (std::size_t i = 1; i < scores.size(); ++i) {
+    EXPECT_EQ(scores[0], scores[i]) << kThreadCounts[i] << " threads";
+  }
+}
+
+TEST_F(TrainingDeterminismTest, ShuffledCorpusSerializesIdentically) {
+  const traffic::Dataset data = make_dataset(12'000);
+  core::Polygraph reference;
+  const ml::Matrix features =
+      data.feature_matrix(reference.config().feature_indices);
+  std::vector<ua::UserAgent> uas;
+  for (const auto& r : data.records()) uas.push_back(r.claimed);
+  reference.train(features, uas);
+
+  std::vector<std::size_t> order(features.rows());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  util::Rng rng(99);
+  rng.shuffle(order);
+  ml::Matrix shuffled;
+  std::vector<ua::UserAgent> shuffled_uas;
+  for (std::size_t r : order) {
+    shuffled.push_row(features.row(r));
+    shuffled_uas.push_back(uas[r]);
+  }
+  for (std::size_t threads : {1, 4}) {
+    util::set_parallel_threads(threads);
+    core::Polygraph model;
+    model.train(shuffled, shuffled_uas);
+    EXPECT_EQ(core::serialize_model(model), core::serialize_model(reference))
+        << threads << " threads";
+  }
 }
 
 TEST_F(TrainingDeterminismTest, TrainingTimingsArePopulated) {

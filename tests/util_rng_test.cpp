@@ -223,6 +223,40 @@ TEST(Rng, SampleIndicesClampsToPopulation) {
   EXPECT_EQ(rng.sample_indices(5, 50).size(), 5u);
 }
 
+// The dense partial Fisher-Yates that sample_indices must reproduce:
+// materialize all n indices, swap the first k into place.
+std::vector<std::size_t> dense_sample_indices(Rng& rng, std::size_t n,
+                                              std::size_t k) {
+  if (k > n) k = n;
+  std::vector<std::size_t> idx(n);
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng.below(n - i));
+    std::swap(idx[i], idx[j]);
+  }
+  idx.resize(k);
+  return idx;
+}
+
+TEST(Rng, SampleIndicesMatchesDenseFisherYates) {
+  const std::size_t ns[] = {0, 1, 2, 7, 256, 257, 1000, 200'000};
+  const std::size_t ks[] = {0, 1, 3, 255, 256, 300, 1000};
+  for (std::uint64_t seed : {1ULL, 42ULL, 0xF0E1D2C3ULL}) {
+    for (std::size_t n : ns) {
+      for (std::size_t k : ks) {
+        Rng sparse(seed);
+        Rng dense(seed);
+        EXPECT_EQ(sparse.sample_indices(n, k),
+                  dense_sample_indices(dense, n, k))
+            << "n=" << n << " k=" << k << " seed=" << seed;
+        // Same draws consumed: the streams stay in lockstep afterwards.
+        EXPECT_EQ(sparse.next(), dense.next())
+            << "n=" << n << " k=" << k << " seed=" << seed;
+      }
+    }
+  }
+}
+
 TEST(Rng, ForkedStreamsDiffer) {
   Rng parent(18);
   Rng child_a = parent.fork(1);
