@@ -2,7 +2,8 @@
 # Tier-1 verification: full build + test suite + training-bench smoke
 # run, plus an optional sanitizer pass over the whole suite.
 #
-#   ./scripts/tier1.sh                  # standard build + ctest + smoke
+#   ./scripts/tier1.sh                  # standard build + ctest (+ repeat
+#                                       # gate) + smoke
 #   BP_SANITIZE=thread ./scripts/tier1.sh   # ... + TSan pass, every test
 #   BP_SANITIZE=address ./scripts/tier1.sh  # ... + ASan pass, every test
 set -euo pipefail
@@ -19,6 +20,10 @@ esac
 cmake -B build -S .
 cmake --build build -j
 ctest --test-dir build --output-on-failure -j
+# Repeat-run gate: a flaky test must fail tier-1, not pass on a lucky
+# run.  Every test must pass three runs in a row at full parallelism.
+echo "== repeat-run gate (whole suite, until-fail:3) =="
+ctest --test-dir build -j"$(nproc)" --repeat until-fail:3 --output-on-failure
 
 echo "== training-throughput bench smoke (determinism gate) =="
 ./build/bench/bench_training_throughput --smoke /tmp/bp_bench_training_smoke.json

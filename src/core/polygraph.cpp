@@ -12,6 +12,7 @@
 #include "core/fingerprint_counts.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/prof.h"
+#include "util/parallel.h"
 
 namespace bp::core {
 
@@ -260,32 +261,37 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
 }
 
 std::size_t Polygraph::predict_cluster(std::span<const double> features) const {
-  ScoringScratch scratch;
-  return predict_cluster(features, scratch);
-}
-
-std::size_t Polygraph::predict_cluster(std::span<const double> features,
-                                       ScoringScratch& scratch) const {
-  return predict_cluster(features, scratch, nullptr);
-}
-
-std::size_t Polygraph::predict_cluster(std::span<const double> features,
-                                       ScoringScratch& scratch,
-                                       double* distance2) const {
-  assert(trained());
-  assert(features.size() == config_.feature_indices.size());
-  scratch.scaled_.resize(features.size());
-  scratch.projected_.resize(pca_.n_components());
-  scaler_.transform_row(features, scratch.scaled_);
-  pca_.transform_row(scratch.scaled_, scratch.projected_);
-  return kmeans_.predict_one(scratch.projected_, distance2);
+  BatchScratch scratch;
+  const std::span<const double> row[] = {features};
+  std::size_t cluster = 0;
+  nearest_centroids(std::span<const std::span<const double>>(row), scratch,
+                    [&](std::size_t, std::size_t c, double) { cluster = c; });
+  return cluster;
 }
 
 std::vector<std::size_t> Polygraph::predict_clusters(
     const ml::Matrix& features) const {
   assert(trained());
-  const ml::Matrix projected = pca_.transform(scaler_.transform(features));
-  return kmeans_.predict(projected);
+  // Block-aligned chunks, one scratch each; a row's label does not
+  // depend on its chunk, so neither does the result on the thread count.
+  constexpr std::size_t kGrain = 16 * kScoreBatchBlock;
+  std::vector<std::size_t> labels(features.rows());
+  util::parallel_for(
+      std::size_t{0}, features.rows(), kGrain,
+      [&](std::size_t begin, std::size_t end) {
+        std::vector<std::span<const double>> rows;
+        rows.reserve(end - begin);
+        for (std::size_t r = begin; r < end; ++r) {
+          rows.push_back(features.row(r));
+        }
+        BatchScratch scratch;
+        nearest_centroids(
+            std::span<const std::span<const double>>(rows), scratch,
+            [&](std::size_t i, std::size_t c, double) {
+              labels[begin + i] = c;
+            });
+      });
+  return labels;
 }
 
 int Polygraph::risk_factor(const ua::UserAgent& session_ua,
@@ -310,41 +316,28 @@ int Polygraph::risk_factor(const ua::UserAgent& session_ua,
 
 Detection Polygraph::score(std::span<const double> features,
                            const ua::UserAgent& claimed) const {
-  ScoringScratch scratch;
-  return score(features, claimed, scratch);
+  BatchScratch scratch;
+  const std::span<const double> row[] = {features};
+  Detection detection;
+  score_batch(row, {&claimed, 1}, {&detection, 1}, scratch);
+  return detection;
 }
 
 Detection Polygraph::score(std::span<const std::int32_t> features,
                            const ua::UserAgent& claimed,
                            ScoringScratch& scratch) const {
-  scratch.features_.resize(features.size());
-  std::copy(features.begin(), features.end(), scratch.features_.begin());
-  return score(std::span<const double>(scratch.features_), claimed, scratch);
-}
-
-Detection Polygraph::score(std::span<const double> features,
-                           const ua::UserAgent& claimed,
-                           ScoringScratch& scratch) const {
+  const std::span<const std::int32_t> row[] = {features};
   Detection detection;
-  detection.predicted_cluster =
-      predict_cluster(features, scratch, &detection.centroid_distance2);
-  detection.expected_cluster = table_.expected_cluster(claimed);
-  if (detection.expected_cluster.has_value() &&
-      *detection.expected_cluster != detection.predicted_cluster) {
-    detection.flagged = true;
-    detection.risk_factor = risk_factor(claimed, detection.predicted_cluster);
-  }
+  score_batch(row, {&claimed, 1}, {&detection, 1}, scratch);
   return detection;
 }
 
-template <typename T>
-void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
-                                 std::span<const ua::UserAgent> claims,
-                                 std::span<Detection> out,
-                                 BatchScratch& scratch) const {
+template <typename T, typename Emit>
+void Polygraph::nearest_centroids(std::span<const std::span<const T>> rows,
+                                  BatchScratch& scratch, Emit&& emit) const {
   assert(trained());
-  assert(claims.size() == rows.size() && out.size() == rows.size());
-  constexpr std::size_t kBlock = kScoreBatchBlock;
+  // Lanes per block: a 1-row call holds one lane, not a full block.
+  const std::size_t lanes = std::min(rows.size(), kScoreBatchBlock);
   const std::size_t n_features = config_.feature_indices.size();
   const std::size_t n_components = pca_.n_components();
   const std::size_t n_centroids = kmeans_.centroids().rows();
@@ -354,12 +347,12 @@ void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
   const ml::Matrix& components = pca_.components();  // n_features x p
   const ml::Matrix& centroids = kmeans_.centroids();  // k x p
 
-  scratch.panel_.resize(n_features * kBlock);
-  scratch.centered_.resize(kBlock);
-  scratch.projected_.resize(n_components * kBlock);
-  scratch.distance_.resize(kBlock);
-  scratch.best_d2_.resize(kBlock);
-  scratch.best_cluster_.resize(kBlock);
+  scratch.panel_.resize(n_features * lanes);
+  scratch.centered_.resize(lanes);
+  scratch.projected_.resize(n_components * lanes);
+  scratch.distance_.resize(lanes);
+  scratch.best_d2_.resize(lanes);
+  scratch.best_cluster_.resize(lanes);
   double* const panel = scratch.panel_.data();
   double* const centered = scratch.centered_.data();
   double* const projected = scratch.projected_.data();
@@ -367,9 +360,9 @@ void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
   double* const best_d2 = scratch.best_d2_.data();
   std::uint32_t* const best_cluster = scratch.best_cluster_.data();
 
-  for (std::size_t base = 0; base < rows.size(); base += kBlock) {
-    const std::size_t n = std::min(kBlock, rows.size() - base);
-    const T* row_ptr[kBlock];
+  for (std::size_t base = 0; base < rows.size(); base += lanes) {
+    const std::size_t n = std::min(lanes, rows.size() - base);
+    const T* row_ptr[kScoreBatchBlock];
     for (std::size_t r = 0; r < n; ++r) {
       assert(rows[base + r].size() == n_features);
       row_ptr[r] = rows[base + r].data();
@@ -381,39 +374,37 @@ void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
     for (std::size_t c = 0; c < n_features; ++c) {
       const double mean = means[c];
       const double stddev = stddevs[c];
-      double* const lane = panel + c * kBlock;
+      double* const lane = panel + c * lanes;
       for (std::size_t r = 0; r < n; ++r) {
         lane[r] = (static_cast<double>(row_ptr[r][c]) - mean) / stddev;
       }
     }
 
-    // PCA: accumulate components in feature order — per row this is the
-    // scalar transform_row's exact reduction order.  (The scalar path
-    // skips exactly-zero centered values; adding their +/-0.0
-    // contribution here can only change the sign of a zero accumulator,
-    // which the squaring below erases.)
-    std::fill_n(projected, n_components * kBlock, 0.0);
+    // PCA: accumulate components in feature order, Pca::transform_row's
+    // reduction order.  (transform_row skips exactly-zero centered
+    // values; adding their +/-0.0 contribution here can only change the
+    // sign of a zero accumulator, which the squaring below erases.)
+    std::fill_n(projected, n_components * lanes, 0.0);
     for (std::size_t c = 0; c < n_features; ++c) {
       const double center = pca_mean[c];
-      const double* const lane = panel + c * kBlock;
+      const double* const lane = panel + c * lanes;
       for (std::size_t r = 0; r < n; ++r) {
         centered[r] = lane[r] - center;
       }
       const auto weights = components.row(c);  // n_components entries
       for (std::size_t j = 0; j < n_components; ++j) {
         const double weight = weights[j];
-        double* const proj = projected + j * kBlock;
+        double* const proj = projected + j * lanes;
         for (std::size_t r = 0; r < n; ++r) {
           proj[r] += centered[r] * weight;
         }
       }
     }
 
-    // Nearest centroid: full distance per centroid, strict < argmin —
-    // the same winner and the same fully-accumulated winning distance
-    // as squared_distance_bounded with early exit (a truncated sum is
-    // already over the bound, so it can never win; ties keep the lower
-    // centroid index in both paths).
+    // Nearest centroid: full distance per centroid, strict < argmin, so
+    // ties keep the lower centroid index — the winner and winning
+    // distance of KMeans::predict_one, whose early exit only abandons
+    // sums already over the bound.
     for (std::size_t r = 0; r < n; ++r) {
       best_d2[r] = std::numeric_limits<double>::max();
       best_cluster[r] = 0;
@@ -423,7 +414,7 @@ void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
       std::fill_n(distance, n, 0.0);
       for (std::size_t j = 0; j < n_components; ++j) {
         const double coord = centroid[j];
-        const double* const proj = projected + j * kBlock;
+        const double* const proj = projected + j * lanes;
         for (std::size_t r = 0; r < n; ++r) {
           const double diff = proj[r] - coord;
           distance[r] += diff * diff;
@@ -437,35 +428,47 @@ void Polygraph::score_batch_impl(std::span<const std::span<const T>> rows,
       }
     }
 
-    // Verdict tail — statement for statement the scalar score().
     for (std::size_t r = 0; r < n; ++r) {
-      Detection detection;
-      detection.predicted_cluster = best_cluster[r];
-      detection.centroid_distance2 = best_d2[r];
-      detection.expected_cluster = table_.expected_cluster(claims[base + r]);
-      if (detection.expected_cluster.has_value() &&
-          *detection.expected_cluster != detection.predicted_cluster) {
-        detection.flagged = true;
-        detection.risk_factor =
-            risk_factor(claims[base + r], detection.predicted_cluster);
-      }
-      out[base + r] = detection;
+      emit(base + r, std::size_t{best_cluster[r]}, best_d2[r]);
     }
   }
+}
+
+template <typename T>
+void Polygraph::score_rows(std::span<const std::span<const T>> rows,
+                           std::span<const ua::UserAgent> claims,
+                           std::span<Detection> out,
+                           BatchScratch& scratch) const {
+  assert(claims.size() == rows.size() && out.size() == rows.size());
+  nearest_centroids(rows, scratch, [&](std::size_t i, std::size_t cluster,
+                                       double d2) {
+    // Verdict tail (§6.5): the table's expected cluster for the claimed
+    // UA; a mismatch flags the session with Algorithm 1's risk factor.
+    Detection detection;
+    detection.predicted_cluster = cluster;
+    detection.centroid_distance2 = d2;
+    detection.expected_cluster = table_.expected_cluster(claims[i]);
+    if (detection.expected_cluster.has_value() &&
+        *detection.expected_cluster != cluster) {
+      detection.flagged = true;
+      detection.risk_factor = risk_factor(claims[i], cluster);
+    }
+    out[i] = detection;
+  });
 }
 
 void Polygraph::score_batch(std::span<const std::span<const std::int32_t>> rows,
                             std::span<const ua::UserAgent> claims,
                             std::span<Detection> out,
                             BatchScratch& scratch) const {
-  score_batch_impl(rows, claims, out, scratch);
+  score_rows(rows, claims, out, scratch);
 }
 
 void Polygraph::score_batch(std::span<const std::span<const double>> rows,
                             std::span<const ua::UserAgent> claims,
                             std::span<Detection> out,
                             BatchScratch& scratch) const {
-  score_batch_impl(rows, claims, out, scratch);
+  score_rows(rows, claims, out, scratch);
 }
 
 Polygraph Polygraph::from_parts(PolygraphConfig config,

@@ -128,27 +128,13 @@ struct TrainingSummary {
   TrainingTimings timings;
 };
 
-// Reusable buffers for the allocation-free scoring path.  One instance
-// per thread (the serving tier keeps one per worker); after the first
-// score the vectors hold their capacity, so steady-state scoring does
-// not touch the allocator.
-class ScoringScratch {
- public:
-  ScoringScratch() = default;
-
- private:
-  friend class Polygraph;
-  std::vector<double> features_;   // int32 -> double widening target
-  std::vector<double> scaled_;     // StandardScaler output
-  std::vector<double> projected_;  // PCA output
-};
-
-// Reusable structure-of-arrays buffers for the fused batch-scoring
-// path (`Polygraph::score_batch`).  Like ScoringScratch: one instance
-// per thread, capacity sticks after the first block, so steady-state
-// batch scoring never touches the allocator.
+// Reusable structure-of-arrays buffers for the scoring kernel behind
+// every Polygraph scoring entry point.  One instance per thread;
+// capacity sticks after the first call, so steady-state scoring never
+// touches the allocator.
 //
-// Layout (B = Polygraph::kScoreBatchBlock rows per block):
+// Layout (B = min(rows, Polygraph::kScoreBatchBlock) lanes, so a 1-row
+// call holds one lane per buffer):
 //   panel_      d x B, feature-major — panel_[c*B + r] is feature c of
 //               row r, already scaled; the gather+scale pass writes a
 //               contiguous lane per feature so every later loop strides
@@ -171,6 +157,9 @@ class BatchScratch {
   std::vector<std::uint32_t> best_cluster_;
 };
 
+// Single-row callers' name for the same scratch.
+using ScoringScratch = BatchScratch;
+
 class Polygraph {
  public:
   explicit Polygraph(PolygraphConfig config = PolygraphConfig::production());
@@ -191,58 +180,42 @@ class Polygraph {
 
   bool trained() const noexcept { return kmeans_.fitted(); }
 
+  // Every scoring entry point below is a call into one SoA kernel:
+  // scale, project and take the nearest centroid for a block of rows
+  // at a time, then (for the scoring calls) the table lookup and
+  // Algorithm 1.  Single-row calls are 1-row batches, so every path
+  // yields the same bits by construction.  All entry points are const
+  // and touch only state frozen at train / load time: one model may be
+  // scored from many threads at once, each with its own scratch.
+
   // Nearest-centroid cluster of a raw (unscaled) feature vector.
   std::size_t predict_cluster(std::span<const double> features) const;
+  // Row-parallel over block-aligned chunks; labels do not depend on the
+  // thread count.
   std::vector<std::size_t> predict_clusters(const ml::Matrix& features) const;
 
-  // Full fraud-detection scoring (§6.5).
+  // Full fraud-detection scoring (§6.5) of one session.
   Detection score(std::span<const double> features,
                   const ua::UserAgent& claimed) const;
-
-  // Allocation-free variants for the serving hot path.  All scoring
-  // entry points are const and touch only state frozen at train / load
-  // time, so one model may be scored from many threads concurrently;
-  // the scratch is the only mutable state and must not be shared
-  // between threads.
-  std::size_t predict_cluster(std::span<const double> features,
-                              ScoringScratch& scratch) const;
-  // As above, also reporting the squared distance to the winning
-  // centroid (Detection::centroid_distance2); `distance2` may be null.
-  std::size_t predict_cluster(std::span<const double> features,
-                              ScoringScratch& scratch,
-                              double* distance2) const;
-  Detection score(std::span<const double> features,
-                  const ua::UserAgent& claimed, ScoringScratch& scratch) const;
   // Scores a session's native integer feature storage directly
-  // (traffic::SessionRecord::features) without an intermediate
-  // std::vector<double> per call.
+  // (traffic::SessionRecord::features) with a caller-owned scratch, so
+  // the steady state allocates nothing.
   Detection score(std::span<const std::int32_t> features,
                   const ua::UserAgent& claimed, ScoringScratch& scratch) const;
 
-  // Fused structure-of-arrays batch scoring.  Processes `rows` in
-  // blocks of kScoreBatchBlock sessions: one gather+scale pass builds a
-  // feature-major panel, PCA projection and all centroid distances then
-  // run as contiguous unit-stride loops over the row lanes
-  // (auto-vectorizable, no per-row calls), and the verdict tail
-  // (table lookup + Algorithm 1) matches the scalar path statement for
-  // statement.
-  //
-  // Equivalence guarantee: for every row i, out[i] is bit-identical to
-  // `score(rows[i], claims[i], scratch)` — same predicted/expected
-  // cluster, flag, risk factor, and centroid_distance2 down to the last
-  // mantissa bit.  This holds because every floating-point reduction
-  // (PCA accumulation in feature order, distance accumulation in
-  // component order) runs in the scalar path's exact order per row —
-  // vectorization only runs independent *rows* side by side — and the
-  // two places the scalar path's control flow diverges cannot leak into
-  // a Detection: the scalar PCA's skip of exactly-zero centered values
-  // can only flip the sign of a zero accumulator (squaring erases it),
-  // and the scalar nearest-centroid early-exit never truncates the
-  // winning distance.  Tests lock this in (core_batch_score_test).
+  // Batch scoring.  Processes `rows` in blocks of kScoreBatchBlock
+  // sessions: one gather+scale pass builds a feature-major panel, PCA
+  // projection and all centroid distances then run as contiguous
+  // unit-stride loops over the row lanes (auto-vectorizable, no per-row
+  // calls).  Every floating-point reduction (PCA accumulation in feature
+  // order, distance accumulation in component order) runs in the same
+  // order per row whatever the block holds — vectorization only runs
+  // independent *rows* side by side — so out[i] does not depend on the
+  // batch size or on a row's position in it.  Golden verdict digests
+  // and a row-primitive reference pin this (core_batch_score_test).
   //
   // `rows`/`claims`/`out` must have equal length; every row must have
-  // feature_indices.size() entries.  Thread-safety matches score():
-  // const model, per-thread scratch.
+  // feature_indices.size() entries.
   static constexpr std::size_t kScoreBatchBlock = 64;
   void score_batch(std::span<const std::span<const std::int32_t>> rows,
                    std::span<const ua::UserAgent> claims,
@@ -272,12 +245,18 @@ class Polygraph {
                               ClusterTable table);
 
  private:
-  // Shared SoA kernel behind both score_batch overloads; T is the raw
-  // feature element type (int32 widens exactly to double).
+  // The scoring kernel: emit(i, cluster, d2) for every row i, where
+  // d2 is the squared PCA-space distance to the nearest centroid (ties
+  // keep the lower index).  T is the raw feature element type (int32
+  // widens exactly to double).
+  template <typename T, typename Emit>
+  void nearest_centroids(std::span<const std::span<const T>> rows,
+                         BatchScratch& scratch, Emit&& emit) const;
+  // score_batch: the kernel plus the verdict tail.
   template <typename T>
-  void score_batch_impl(std::span<const std::span<const T>> rows,
-                        std::span<const ua::UserAgent> claims,
-                        std::span<Detection> out, BatchScratch& scratch) const;
+  void score_rows(std::span<const std::span<const T>> rows,
+                  std::span<const ua::UserAgent> claims,
+                  std::span<Detection> out, BatchScratch& scratch) const;
 
   PolygraphConfig config_;
   ml::StandardScaler scaler_;

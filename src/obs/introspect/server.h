@@ -51,7 +51,6 @@
 
 #include "net/http_common.h"
 #include "obs/audit.h"
-#include "obs/introspect/http.h"
 #include "obs/metrics_registry.h"
 #include "obs/prof/contention.h"
 #include "obs/prof/prof.h"
@@ -117,7 +116,7 @@ class IntrospectionServer {
 
   // Dispatch one parsed request.  Const and lock-light: every data
   // source is read through its own thread-safe render call.
-  HttpResponse handle(const HttpRequest& request) const;
+  net::HttpResponse handle(const net::HttpRequest& request) const;
 
   // Stops accepting, drains/closes pending connections, joins all
   // threads.  Idempotent; the destructor calls it.

@@ -30,6 +30,13 @@ std::int64_t to_us(std::chrono::steady_clock::time_point tp) noexcept {
       .count();
 }
 
+// Admission -> `done_us` on the microsecond clock of the trace spans,
+// so respond() recovers the admission stamp as done_us - latency.
+std::chrono::microseconds since_admission(const ScoreRequest& request,
+                                          std::int64_t done_us) noexcept {
+  return std::chrono::microseconds(done_us - to_us(request.admitted_at));
+}
+
 }  // namespace
 
 ScoringEngine::ScoringEngine(const ModelRegistry& registry, EngineConfig config,
@@ -103,24 +110,16 @@ bool ScoringEngine::try_cached_submit(const ScoreRequest& request) {
                       version, detection, /*stripe_hint=*/0)) {
     return false;
   }
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kScored;
-  response.detection = detection;
-  response.model_version = version;
-  response.worker = 0;
-  response.cached = true;
-  response.latency = std::chrono::microseconds{0};  // sub-microsecond
-  metrics_.record_cached(/*stripe=*/0, detection.flagged, 0,
-                         exemplar_trace_id(request));
-  record_audit(request, response);
-  if (config_.trace != nullptr) {
-    // Admitted, picked up and answered within this submit call; the
-    // request carries no admission stamp on this path.
-    const std::int64_t now_us = steady_now_us();
-    record_request_trace(request, "cache_hit", now_us, now_us, now_us);
-  }
-  if (on_response_) on_response_(response);
+  // Admitted, picked up and answered within this submit call: zero
+  // latency, stripe/worker 0.
+  const std::int64_t now_us = config_.trace != nullptr ? steady_now_us() : 0;
+  respond(request,
+          {.id = request.id,
+           .status = ResponseStatus::kScored,
+           .detection = detection,
+           .model_version = version,
+           .cached = true},
+          now_us, now_us);
   return true;
 }
 
@@ -155,7 +154,8 @@ SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
     case PushResult::kDisplacedOldest:
       // The new request is admitted; the oldest queued one is completed
       // here and now as an explicit shed.
-      deliver_shed(std::move(*displaced), 0, /*from_submit=*/true);
+      respond_unscored(*displaced, ResponseStatus::kShed, 0);
+      note_completed(1);
       return SubmitResult::kAdmitted;
     case PushResult::kRejected:
       retract_admission();
@@ -166,6 +166,57 @@ SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
       return SubmitResult::kStopped;
   }
   return SubmitResult::kStopped;  // unreachable
+}
+
+void ScoringEngine::respond(const ScoreRequest& request,
+                            const ScoreResponse& response,
+                            std::int64_t picked_up_us, std::int64_t done_us) {
+  const std::size_t worker = response.worker;
+  const bool flagged = response.detection.flagged;
+  const auto latency_us = static_cast<std::uint64_t>(response.latency.count());
+  const char* terminal = "shed";
+  switch (response.status) {
+    case ResponseStatus::kScored:
+      if (response.cached) {
+        terminal = "cache_hit";
+        metrics_.record_cached(worker, flagged, latency_us,
+                               exemplar_trace_id(request));
+      } else {
+        terminal = "score";
+        metrics_.record_scored(worker, flagged, latency_us,
+                               exemplar_trace_id(request));
+      }
+      break;
+    case ResponseStatus::kDegraded:
+      terminal = "degrade";
+      metrics_.record_degraded(worker, flagged, latency_us,
+                               exemplar_trace_id(request));
+      break;
+    case ResponseStatus::kShed:
+      metrics_.record_shed(worker);
+      break;
+    case ResponseStatus::kDeadlineExceeded:
+      terminal = "deadline";
+      metrics_.record_deadline_exceeded(worker);
+      break;
+  }
+  record_audit(request, response);
+  record_request_trace(request, terminal, done_us - response.latency.count(),
+                       picked_up_us, done_us);
+  if (on_response_) on_response_(response);
+}
+
+void ScoringEngine::respond_unscored(const ScoreRequest& request,
+                                     ResponseStatus status,
+                                     std::uint32_t worker_index) {
+  const std::int64_t now_us = steady_now_us();
+  respond(request,
+          {.id = request.id,
+           .status = status,
+           .detection = {},
+           .worker = worker_index,
+           .latency = since_admission(request, now_us)},
+          now_us, now_us);
 }
 
 void ScoringEngine::record_request_trace(const ScoreRequest& request,
@@ -251,7 +302,7 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
   std::vector<ScoreRequest> batch;
   core::BatchScratch scratch;
   // Reused per-batch staging (capacity sticks after the first batch, so
-  // the steady state stays allocation-free like the scalar path was):
+  // the steady state stays allocation-free):
   std::vector<std::size_t> pending;  // batch indices that need scoring
   std::vector<std::span<const std::int32_t>> rows;
   std::vector<ua::UserAgent> claims;
@@ -279,33 +330,24 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
       // UA-prior fallback judges the claimed UA alone, and the status
       // tells the caller no fingerprint evidence was used.
       PROF_SCOPE("serve.degraded");
-      std::uint64_t answered_in_batch = 0;
-      for (ScoreRequest& request : batch) {
+      for (const ScoreRequest& request : batch) {
         const auto picked_up = std::chrono::steady_clock::now();
         if (past_deadline(request, picked_up)) {
-          deliver_deadline_exceeded(std::move(request), worker_index);
+          respond_unscored(request, ResponseStatus::kDeadlineExceeded,
+                           worker_index);
           continue;
         }
-        ScoreResponse response;
-        response.id = request.id;
-        response.status = ResponseStatus::kDegraded;
-        response.detection = degraded_score(request.claimed);
-        response.worker = worker_index;
-        const auto done = std::chrono::steady_clock::now();
-        response.latency =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                done - request.admitted_at);
-        metrics_.record_degraded(
-            worker_index, response.detection.flagged,
-            static_cast<std::uint64_t>(response.latency.count()),
-            exemplar_trace_id(request));
-        record_audit(request, response);
-        record_request_trace(request, "degrade", to_us(request.admitted_at),
-                             to_us(picked_up), to_us(done));
-        if (on_response_) on_response_(response);
-        ++answered_in_batch;
+        const core::Detection detection = degraded_score(request.claimed);
+        const std::int64_t done_us = steady_now_us();
+        respond(request,
+                {.id = request.id,
+                 .status = ResponseStatus::kDegraded,
+                 .detection = detection,
+                 .worker = worker_index,
+                 .latency = since_admission(request, done_us)},
+                to_us(picked_up), done_us);
       }
-      if (answered_in_batch > 0) note_completed(answered_in_batch);
+      note_completed(batch.size());
       heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
       continue;
     }
@@ -317,15 +359,16 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
     if (!snapshot) {
       // Stopped before any model was ever published: complete the batch
       // as shed so no admitted request is left without a response.
-      for (ScoreRequest& request : batch) {
-        deliver_shed(std::move(request), worker_index, /*from_submit=*/false);
+      for (const ScoreRequest& request : batch) {
+        respond_unscored(request, ResponseStatus::kShed, worker_index);
       }
+      note_completed(batch.size());
       heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
       continue;
     }
     metrics_.record_batch(worker_index, batch.size());
     const auto picked_up = std::chrono::steady_clock::now();
-    std::uint64_t answered_in_batch = 0;
+    const std::int64_t picked_up_us = to_us(picked_up);
     // Triage pass: deadline misses out, repeat sessions replayed from
     // the cache (re-checked here against the *batch's* snapshot version
     // — a hot swap between submit and pickup must not replay an older
@@ -333,23 +376,27 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
     pending.clear();
     PROF_SCOPE("serve.batch");
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ScoreRequest& request = batch[i];
+      const ScoreRequest& request = batch[i];
       if (past_deadline(request, picked_up)) {
-        // deliver_deadline_exceeded note_completed()s itself — counting
-        // it in answered_in_batch too would overshoot completed_ and
-        // release a concurrent drain() with requests still in flight.
-        deliver_deadline_exceeded(std::move(request), worker_index);
+        respond_unscored(request, ResponseStatus::kDeadlineExceeded,
+                         worker_index);
         continue;
       }
-      if (cache_ != nullptr) {
-        core::Detection detection;
-        if (cache_->lookup(request.cache_key, snapshot.version, detection,
-                           worker_index)) {
-          deliver_cached(request, detection, snapshot.version, worker_index,
-                         worker_index, picked_up);
-          ++answered_in_batch;
-          continue;
-        }
+      core::Detection detection;
+      if (cache_ != nullptr &&
+          cache_->lookup(request.cache_key, snapshot.version, detection,
+                         worker_index)) {
+        const std::int64_t done_us = steady_now_us();
+        respond(request,
+                {.id = request.id,
+                 .status = ResponseStatus::kScored,
+                 .detection = detection,
+                 .model_version = snapshot.version,
+                 .worker = worker_index,
+                 .latency = since_admission(request, done_us),
+                 .cached = true},
+                picked_up_us, done_us);
+        continue;
       }
       pending.push_back(i);
     }
@@ -362,9 +409,6 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
       }
       detections.resize(pending.size());
       {
-        // The whole drain goes through the SoA kernel in one pass —
-        // bit-identical to per-request score() by the kernel's
-        // equivalence guarantee, so this is purely a layout change.
         PROF_SCOPE("serve.kernel");
         snapshot.model->score_batch(
             std::span<const std::span<const std::int32_t>>(rows),
@@ -372,34 +416,24 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
             std::span<core::Detection>(detections), scratch);
       }
       PROF_SCOPE("serve.respond");
-      const auto done = std::chrono::steady_clock::now();
+      const std::int64_t done_us = steady_now_us();
       for (std::size_t p = 0; p < pending.size(); ++p) {
-        ScoreRequest& request = batch[pending[p]];
-        ScoreResponse response;
-        response.id = request.id;
-        response.status = ResponseStatus::kScored;
-        response.detection = detections[p];
-        response.model_version = snapshot.version;
-        response.worker = worker_index;
-        response.latency =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                done - request.admitted_at);
-        metrics_.record_scored(
-            worker_index, response.detection.flagged,
-            static_cast<std::uint64_t>(response.latency.count()),
-            exemplar_trace_id(request));
-        record_audit(request, response);
-        record_request_trace(request, "score", to_us(request.admitted_at),
-                             to_us(picked_up), to_us(done));
-        if (on_response_) on_response_(response);
+        const ScoreRequest& request = batch[pending[p]];
+        respond(request,
+                {.id = request.id,
+                 .status = ResponseStatus::kScored,
+                 .detection = detections[p],
+                 .model_version = snapshot.version,
+                 .worker = worker_index,
+                 .latency = since_admission(request, done_us)},
+                picked_up_us, done_us);
         if (cache_ != nullptr) {
           cache_->insert(request.cache_key, snapshot.version, detections[p],
                          worker_index);
         }
-        ++answered_in_batch;
       }
     }
-    if (answered_in_batch > 0) note_completed(answered_in_batch);
+    note_completed(batch.size());
     heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
   }
 }
@@ -425,65 +459,6 @@ void ScoringEngine::watchdog_loop() {
     }
     metrics_.set_stalled_workers(stalled);
   }
-}
-
-void ScoringEngine::deliver_shed(ScoreRequest request,
-                                 std::uint32_t worker_index, bool from_submit) {
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kShed;
-  response.worker = worker_index;
-  const auto done = std::chrono::steady_clock::now();
-  response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-      done - request.admitted_at);
-  if (from_submit) {
-    metrics_.record_shed_on_submit();
-  } else {
-    metrics_.record_shed(worker_index);
-  }
-  record_request_trace(request, "shed", to_us(request.admitted_at),
-                       to_us(done), to_us(done));
-  if (on_response_) on_response_(response);
-  note_completed(1);
-}
-
-void ScoringEngine::deliver_deadline_exceeded(ScoreRequest request,
-                                              std::uint32_t worker_index) {
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kDeadlineExceeded;
-  response.worker = worker_index;
-  const auto done = std::chrono::steady_clock::now();
-  response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-      done - request.admitted_at);
-  metrics_.record_deadline_exceeded(worker_index);
-  record_request_trace(request, "deadline", to_us(request.admitted_at),
-                       to_us(done), to_us(done));
-  if (on_response_) on_response_(response);
-  note_completed(1);
-}
-
-void ScoringEngine::deliver_cached(
-    const ScoreRequest& request, const core::Detection& detection,
-    std::uint64_t version, std::uint32_t worker_index, std::size_t stripe,
-    std::chrono::steady_clock::time_point picked_up) {
-  ScoreResponse response;
-  response.id = request.id;
-  response.status = ResponseStatus::kScored;
-  response.detection = detection;
-  response.model_version = version;
-  response.worker = worker_index;
-  response.cached = true;
-  const auto done = std::chrono::steady_clock::now();
-  response.latency = std::chrono::duration_cast<std::chrono::microseconds>(
-      done - request.admitted_at);
-  metrics_.record_cached(stripe, detection.flagged,
-                         static_cast<std::uint64_t>(response.latency.count()),
-                         exemplar_trace_id(request));
-  record_audit(request, response);
-  record_request_trace(request, "cache_hit", to_us(request.admitted_at),
-                       to_us(picked_up), to_us(done));
-  if (on_response_) on_response_(response);
 }
 
 void ScoringEngine::note_completed(std::uint64_t n) {

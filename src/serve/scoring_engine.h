@@ -6,7 +6,7 @@
 //
 //   submit()  ->  BoundedQueue  ->  worker pool  ->  ResponseCallback
 //                                     |  one ModelSnapshot per batch
-//                                     |  one ScoringScratch per worker
+//                                     |  one BatchScratch per worker
 //                                     v
 //                                 ServeMetrics (per-worker counters)
 //
@@ -21,8 +21,12 @@
 //   * the worker hot path performs no per-session allocation: requests
 //     are moved through the queue and each drained batch is scored in
 //     one fused pass through Polygraph::score_batch (a per-worker
-//     BatchScratch holds the SoA panels) — bit-identical to per-session
-//     Polygraph::score by the kernel's equivalence guarantee;
+//     BatchScratch holds the SoA panels) — the same kernel a
+//     single-session Polygraph::score runs, so the same bits;
+//   * every answer — scored, cached (at submit or at pickup), degraded,
+//     shed, deadline — goes out through one respond step that records
+//     the status's metric, then the audit record, then the trace spans,
+//     and calls the response callback last;
 //   * with EngineConfig::cache_capacity > 0, a verdict cache
 //     short-circuits repeat (fingerprint, UA) sessions at submit() and
 //     again at batch pickup; cached responses are kScored with
@@ -247,17 +251,16 @@ class ScoringEngine {
   // sampled, 0 otherwise — the latency histogram's exemplar.
   std::uint64_t exemplar_trace_id(const ScoreRequest& request) const noexcept;
   void record_audit(const ScoreRequest& request, const ScoreResponse& response);
-  void deliver_shed(ScoreRequest request, std::uint32_t worker_index,
-                    bool from_submit);
-  void deliver_deadline_exceeded(ScoreRequest request,
-                                 std::uint32_t worker_index);
-  // Replay a cached detection as a kScored/cached response (shared by
-  // the submit-side fast path and the worker-side per-batch lookup).
-  // Does not touch the completion accounting; callers do.
-  void deliver_cached(const ScoreRequest& request,
-                      const core::Detection& detection, std::uint64_t version,
-                      std::uint32_t worker_index, std::size_t stripe,
-                      std::chrono::steady_clock::time_point picked_up);
+  // The one answer path.  Records the status's metric, the audit record
+  // and the trace spans (terminal span named by the status; admission
+  // stamp done_us - response.latency), then calls on_response_.  Does
+  // not touch the completion accounting; callers do.
+  void respond(const ScoreRequest& request, const ScoreResponse& response,
+               std::int64_t picked_up_us, std::int64_t done_us);
+  // respond() with a verdict-less status (kShed, kDeadlineExceeded),
+  // picked up and answered now.
+  void respond_unscored(const ScoreRequest& request, ResponseStatus status,
+                        std::uint32_t worker_index);
   // Submit-side cache fast path; true = answered, request not admitted.
   bool try_cached_submit(const ScoreRequest& request);
   // The queue path both public submit overloads fall through to after

@@ -138,7 +138,6 @@ class ServeMetrics {
 
   // Admission-side events (any thread).
   void record_rejected() noexcept;
-  void record_shed_on_submit() noexcept;
 
   // Watchdog gauge (single writer: the watchdog thread).
   void set_stalled_workers(std::uint64_t n) noexcept {

@@ -10,10 +10,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/audit.h"
+#include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
 
@@ -366,6 +370,166 @@ TEST(ServeEngine, LatencyHistogramFeedsPercentiles) {
   // 100 ms budget.
   EXPECT_TRUE(metrics.within_budget());
   EXPECT_FALSE(metrics.summary().empty());
+}
+
+// ---------------------------- answer order ----------------------------
+//
+// Every answer path records before it responds: inside the response
+// callback the request's three spans are already in the TraceSink (the
+// terminal one named for the path) and, where the status carries a
+// verdict, its AuditTrail record already exists.  Request ids start at
+// 1 because a request's id is its local trace id.
+
+class AnswerOrder : public ::testing::Test {
+ protected:
+  struct Answer {
+    ScoreResponse response;
+    int spans = 0;         // spans of this request already recorded
+    std::string terminal;  // name of span 3, the terminal span
+    bool audited = false;  // an audit record for the request exists
+  };
+
+  ScoringEngine& start(EngineConfig config) {
+    config.trace = &trace_;
+    config.audit = &audit_;
+    engine_ = std::make_unique<ScoringEngine>(
+        registry_, config, [this](const ScoreResponse& r) { observe(r); });
+    return *engine_;
+  }
+
+  std::size_t answered() {
+    std::lock_guard lock(mutex_);
+    return answers_.size();
+  }
+
+  // The one answer for `id` must have status `status` (and `cached`),
+  // its three spans under terminal span `terminal`, and an audit record
+  // exactly when the status carries a verdict.
+  void expect_answer(std::uint64_t id, ResponseStatus status, bool cached,
+                     const char* terminal) {
+    std::lock_guard lock(mutex_);
+    int found = 0;
+    for (const Answer& answer : answers_) {
+      if (answer.response.id != id) continue;
+      ++found;
+      EXPECT_EQ(answer.response.status, status) << "request " << id;
+      EXPECT_EQ(answer.response.cached, cached) << "request " << id;
+      EXPECT_EQ(answer.spans, 3) << "request " << id;
+      EXPECT_EQ(answer.terminal, terminal) << "request " << id;
+      const bool verdict = status == ResponseStatus::kScored ||
+                           status == ResponseStatus::kDegraded;
+      EXPECT_EQ(answer.audited, verdict) << "request " << id;
+    }
+    EXPECT_EQ(found, 1) << "request " << id;
+  }
+
+  ModelRegistry registry_;
+
+ private:
+  void observe(const ScoreResponse& response) {
+    Answer answer;
+    answer.response = response;
+    for (const obs::TraceEvent& event : trace_.events()) {
+      if (event.trace_id != response.id) continue;
+      ++answer.spans;
+      if (event.span_id == 3) answer.terminal = event.name;
+    }
+    for (const obs::AuditRecord& record : audit_.records()) {
+      answer.audited |= record.session_id == response.id;
+    }
+    std::lock_guard lock(mutex_);
+    answers_.push_back(std::move(answer));
+  }
+
+  obs::TraceSink trace_{{.capacity = 1024, .sample_rate = 1.0}};
+  obs::AuditTrail audit_{{.capacity = 1024, .unflagged_sample_rate = 1.0}};
+  std::mutex mutex_;
+  std::vector<Answer> answers_;
+  // Declared last: destroyed (stopped) before the sinks it writes to.
+  std::unique_ptr<ScoringEngine> engine_;
+};
+
+TEST_F(AnswerOrder, Scored) {
+  registry_.publish(make_model(false));
+  ScoringEngine& engine = start({.workers = 1});
+  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
+  engine.drain();
+  expect_answer(1, ResponseStatus::kScored, false, "score");
+}
+
+TEST_F(AnswerOrder, SubmitSideCacheHit) {
+  registry_.publish(make_model(false));
+  ScoringEngine& engine = start({.workers = 1, .cache_capacity = 64});
+  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
+  engine.drain();  // scored by the worker, then inserted
+  ASSERT_EQ(engine.submit(request_at_origin(2)), SubmitResult::kAdmitted);
+  EXPECT_EQ(answered(), 2u);  // answered inside the submit call
+  expect_answer(2, ResponseStatus::kScored, true, "cache_hit");
+}
+
+TEST_F(AnswerOrder, WorkerSideCacheHit) {
+  // Nothing published at submit, so neither request is looked up there;
+  // one request per batch, so the second is picked up after the first
+  // was scored and inserted.
+  ScoringEngine& engine =
+      start({.workers = 1, .max_batch = 1, .cache_capacity = 64});
+  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
+  ASSERT_EQ(engine.submit(request_at_origin(2)), SubmitResult::kAdmitted);
+  registry_.publish(make_model(false));
+  engine.drain();
+  expect_answer(1, ResponseStatus::kScored, false, "score");
+  expect_answer(2, ResponseStatus::kScored, true, "cache_hit");
+}
+
+TEST_F(AnswerOrder, Degraded) {
+  ScoringEngine& engine =
+      start({.workers = 1, .degrade_without_model = true});
+  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
+  engine.drain();
+  expect_answer(1, ResponseStatus::kDegraded, false, "degrade");
+}
+
+TEST_F(AnswerOrder, ShedByDropOldestDisplacement) {
+  // No model: the worker holds at most one request, the one-slot queue
+  // another, so the third submit displaces a queued request and sheds
+  // it on the submitting thread.
+  ScoringEngine& engine =
+      start({.workers = 1,
+             .queue_capacity = 1,
+             .max_batch = 1,
+             .overflow_policy = OverflowPolicy::kDropOldest});
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_EQ(engine.submit(request_at_origin(id)), SubmitResult::kAdmitted);
+  }
+  EXPECT_GE(answered(), 1u);  // only displacement answers before stop()
+  engine.stop();
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    expect_answer(id, ResponseStatus::kShed, false, "shed");
+  }
+}
+
+TEST_F(AnswerOrder, ShedOnStopBeforePublish) {
+  ScoringEngine& engine = start({.workers = 1});
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_EQ(engine.submit(request_at_origin(id)), SubmitResult::kAdmitted);
+  }
+  EXPECT_EQ(answered(), 0u);
+  engine.stop();
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    expect_answer(id, ResponseStatus::kShed, false, "shed");
+  }
+}
+
+TEST_F(AnswerOrder, DeadlineExceeded) {
+  // The worker holds the request until a model appears, by which time
+  // its 1 ms deadline has long passed.
+  ScoringEngine& engine =
+      start({.workers = 1, .deadline = std::chrono::milliseconds(1)});
+  ASSERT_EQ(engine.submit(request_at_origin(1)), SubmitResult::kAdmitted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  registry_.publish(make_model(false));
+  engine.drain();
+  expect_answer(1, ResponseStatus::kDeadlineExceeded, false, "deadline");
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "obs/audit.h"
+#include "obs/prof/prof.h"
 #include "obs/trace.h"
 #include "serve/model_registry.h"
 #include "serve/scoring_engine.h"
@@ -339,6 +340,41 @@ TEST(VerdictCacheEngine, SubmitSideHitAnswersSynchronously) {
     ASSERT_EQ(collected.responses.size(), 2u);
     EXPECT_TRUE(collected.responses[1].cached);
   }
+  engine.stop();
+}
+
+TEST(VerdictCacheEngine, SubmitSideHitAllocatesAndCopiesNothing) {
+  if (!obs::prof::alloc_hook_linked()) {
+    GTEST_SKIP() << "bp_prof_alloc not linked into this binary "
+                    "(sanitizer build compiles the hook out)";
+  }
+  ModelRegistry registry;
+  ASSERT_GT(registry.publish(make_model(false)), 0u);
+  std::atomic<std::uint64_t> cached{0};
+  EngineConfig config;
+  config.workers = 1;
+  config.cache_capacity = 256;
+  ScoringEngine engine(registry, config, [&](const ScoreResponse& r) {
+    if (r.cached) cached.fetch_add(1, std::memory_order_relaxed);
+  });
+  const ScoreRequest request = request_at_origin(1);
+  ASSERT_EQ(engine.submit(request), SubmitResult::kAdmitted);
+  engine.drain();  // the miss that fills the cache
+  ASSERT_EQ(engine.submit(request), SubmitResult::kAdmitted);  // warm hit
+
+  // Hits through the const& overload: a request copy would allocate its
+  // feature vector, so no allocation also means no copy.
+  int admitted = 0;
+  obs::prof::set_alloc_counting(true);
+  const std::uint64_t before = obs::prof::alloc_counts().allocations;
+  for (int i = 0; i < 100; ++i) {
+    admitted += engine.submit(request) == SubmitResult::kAdmitted ? 1 : 0;
+  }
+  const std::uint64_t after = obs::prof::alloc_counts().allocations;
+  obs::prof::set_alloc_counting(false);
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(admitted, 100);
+  EXPECT_EQ(cached.load(), 101u);
   engine.stop();
 }
 
