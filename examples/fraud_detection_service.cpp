@@ -31,9 +31,8 @@
 //     before the first publish (early frames get explicit degraded
 //     verdicts; watch them flip to scored on v1).  Prints "score
 //     server listening on <addr>:<port>".  Try:
-//       curl -s -X POST --data-binary \
-//         'bp1|7|Chrome 112|0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0' \
-//         http://<addr>:<port>/score
+//       frame='bp1|7|Chrome 112|0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0'
+//       curl -s -X POST --data-binary "$frame" http://<addr>:<port>/score
 //
 // Shutdown on SIGINT/SIGTERM is graceful and ordered: stop the score
 // ingress (stop intake -> drain shards -> stop shards), stop the

@@ -157,6 +157,10 @@ void ChaosProxy::acceptor_loop() {
     }
     sockops::set_recv_timeout(client, config_.io_timeout);
     sockops::set_recv_timeout(upstream, config_.io_timeout);
+    // A relay that let Nagle hold its forwarded chunks would put back
+    // the ACK wait the endpoints turned off.
+    sockops::set_nodelay(client);
+    sockops::set_nodelay(upstream);
 
     auto pair = std::make_shared<Pair>();
     pair->client_fd = client;

@@ -71,6 +71,15 @@ bool parse_size(std::string_view text, std::size_t* out) noexcept {
   return true;
 }
 
+// Writes the responses buffered in `pending` and empties it.  False
+// when the write failed: the connection is dead.
+bool flush(int fd, std::string* pending) {
+  if (pending->empty()) return true;
+  const bool sent = sockops::send_all(fd, *pending);
+  pending->clear();
+  return sent;
+}
+
 }  // namespace
 
 std::string_view status_reason(int status) noexcept {
@@ -122,14 +131,23 @@ bool parse_request_head(std::string_view head, HttpRequest* out) {
 }
 
 std::string serialize_response(const HttpResponse& response) {
-  std::string out = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                    std::string(status_reason(response.status)) + "\r\n";
-  out += "Content-Type: " + response.content_type + "\r\n";
-  out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
-  out += response.keep_alive ? "Connection: keep-alive\r\n\r\n"
-                             : "Connection: close\r\n\r\n";
-  out += response.body;
+  std::string out;
+  serialize_response(response, &out);
   return out;
+}
+
+void serialize_response(const HttpResponse& response, std::string* out) {
+  out->append("HTTP/1.1 ")
+      .append(std::to_string(response.status))
+      .append(" ")
+      .append(status_reason(response.status))
+      .append("\r\nContent-Type: ")
+      .append(response.content_type)
+      .append("\r\nContent-Length: ")
+      .append(std::to_string(response.body.size()))
+      .append(response.keep_alive ? "\r\nConnection: keep-alive\r\n\r\n"
+                                  : "\r\nConnection: close\r\n\r\n")
+      .append(response.body);
 }
 
 std::uint64_t query_uint(std::string_view query, std::string_view key,
@@ -253,6 +271,7 @@ void HttpListener::acceptor_loop() {
       break;  // listen socket is gone; stop() is the only cause
     }
     sockops::set_io_timeout(fd, config_.io_timeout);
+    sockops::set_nodelay(fd);
     {
       std::lock_guard lock(queue_mutex_);
       if (pending_.size() >= config_.max_pending) {
@@ -289,6 +308,17 @@ void HttpListener::handler_loop(std::size_t lane) {
 }
 
 void HttpListener::serve_connection(int fd) {
+  // Responses not yet written.  answer_requests flushes them in one
+  // write before each blocking recv, i.e. once the read buffer holds no
+  // further complete request; this is the flush for every way the
+  // connection ends (reap, stop, EOF, error answers), so no answered
+  // request is lost.
+  std::string pending;
+  answer_requests(fd, &pending);
+  flush(fd, &pending);
+}
+
+void HttpListener::answer_requests(int fd, std::string* pending) {
   using Clock = std::chrono::steady_clock;
   std::string buffer;
   char chunk[4096];
@@ -297,6 +327,15 @@ void HttpListener::serve_connection(int fd) {
   const auto lifetime_expired = [&] {
     return config_.max_connection_lifetime.count() > 0 &&
            Clock::now() - opened >= config_.max_connection_lifetime;
+  };
+  // Every error answer ends the connection: after a framing error
+  // nothing behind it in the buffer can be trusted.
+  const auto refuse = [&](int status, const char* body) {
+    HttpResponse response;
+    response.status = status;
+    response.body = body;
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    serialize_response(response, pending);
   };
   while (true) {
     // Reap a keep-alive connection that outlived its cap between
@@ -323,25 +362,18 @@ void HttpListener::serve_connection(int fd) {
     }
     while (head_end == std::string::npos) {
       if (buffer.size() > config_.max_head_bytes) {
-        HttpResponse too_large;
-        too_large.status = 431;
-        too_large.body = "request head too large\n";
-        requests_.fetch_add(1, std::memory_order_relaxed);
-        sockops::send_all(fd, serialize_response(too_large));
+        refuse(431, "request head too large\n");
         return;
       }
       // Between requests on an idle keep-alive connection, notice a
       // shutdown instead of blocking a full io_timeout on recv.
       if (buffer.empty() && stopping_.load(std::memory_order_acquire)) return;
+      if (!flush(fd, pending)) return;
       if (head_started && config_.header_timeout.count() > 0) {
         const auto remaining = head_deadline - Clock::now();
         if (remaining <= Clock::duration::zero()) {
           slowloris_.fetch_add(1, std::memory_order_relaxed);
-          HttpResponse timed_out;
-          timed_out.status = 408;
-          timed_out.body = "request head timeout\n";
-          requests_.fetch_add(1, std::memory_order_relaxed);
-          sockops::send_all(fd, serialize_response(timed_out));
+          refuse(408, "request head timeout\n");
           return;
         }
         sockops::set_recv_timeout(
@@ -385,25 +417,18 @@ void HttpListener::serve_connection(int fd) {
     HttpRequest request;
     if (!parse_request_head(
             std::string_view(buffer).substr(0, head_end + 2), &request)) {
-      HttpResponse malformed;
-      malformed.status = 400;
-      malformed.body = "malformed request\n";
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      sockops::send_all(fd, serialize_response(malformed));
-      return;  // framing is lost; nothing downstream can be trusted
+      refuse(400, "malformed request\n");
+      return;
     }
     if (request.content_length > config_.max_body_bytes) {
-      HttpResponse too_large;
-      too_large.status = 413;
-      too_large.body = "request body too large\n";
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      sockops::send_all(fd, serialize_response(too_large));
+      refuse(413, "request body too large\n");
       return;
     }
 
     // ---- assemble the body ----
     const std::size_t frame_end = head_end + 4 + request.content_length;
     while (buffer.size() < frame_end) {
+      if (!flush(fd, pending)) return;
       const ssize_t n = sockops::recv_some(fd, chunk, sizeof(chunk));
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) return;  // truncated request: nothing to answer
@@ -433,14 +458,11 @@ void HttpListener::serve_connection(int fd) {
     if (client_keep_alive && !response.keep_alive) {
       reaped_.fetch_add(1, std::memory_order_relaxed);
     }
-    bool sent;
     {
       PROF_SCOPE("net.serialize");
-      sent = sockops::send_all(fd, serialize_response(response));
+      serialize_response(response, pending);
     }
-    if (!sent || !response.keep_alive) {
-      return;
-    }
+    if (!response.keep_alive) return;
     buffer.erase(0, frame_end);
   }
 }
@@ -509,6 +531,7 @@ bool HttpClient::connect() {
     return false;
   }
   sockops::set_io_timeout(fd, timeout_);
+  sockops::set_nodelay(fd);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port_);

@@ -19,8 +19,9 @@
 //     share: one acceptor thread, a handler pool draining a bounded
 //     queue of accepted connections, shed-at-accept when that queue is
 //     full, optional keep-alive with pipelining (a request already
-//     buffered behind the current one is served without another recv),
-//     a header-read deadline distinct from the body deadline (the
+//     buffered behind the current one is served without another recv,
+//     and its response joins the previous ones in one write), a
+//     header-read deadline distinct from the body deadline (the
 //     slow-loris cutoff) and keep-alive reaper caps on requests-per-
 //     connection and connection lifetime (DESIGN.md §15);
 //   * HttpClient — the blocking test/bench client, now with keep-alive
@@ -79,8 +80,11 @@ std::string_view status_reason(int status) noexcept;
 bool parse_request_head(std::string_view head, HttpRequest* out);
 
 // Serialize status line + minimal headers + body.  The Connection
-// header follows `response.keep_alive`.
+// header follows `response.keep_alive`.  The second form appends to
+// `out`, so the listener can batch a run of pipelined responses into
+// one write.
 std::string serialize_response(const HttpResponse& response);
+void serialize_response(const HttpResponse& response, std::string* out);
 
 // Value of `key` in a query string ("n=50&x=1"), or `fallback` when
 // absent/unparseable.  Only non-negative integers are supported.
@@ -190,6 +194,9 @@ class HttpListener {
   void acceptor_loop();
   void handler_loop(std::size_t lane);
   void serve_connection(int fd);
+  // The request loop of serve_connection: answers into `pending`,
+  // returning when the connection is done.
+  void answer_requests(int fd, std::string* pending);
 
   ListenerConfig config_;
   Handler handler_;

@@ -76,4 +76,12 @@ void set_recv_timeout(int fd, std::chrono::milliseconds timeout);
 void set_send_timeout(int fd, std::chrono::milliseconds timeout);
 void set_io_timeout(int fd, std::chrono::milliseconds timeout);
 
+// TCP_NODELAY: write each segment as soon as it is handed to the
+// kernel instead of holding it until the previous one is ACKed
+// (Nagle).  Every plane here is request/response, so a held response
+// waits on the peer's *next* request; writers coalesce explicitly
+// instead (HttpListener flushes one write per run of pipelined
+// responses).
+void set_nodelay(int fd);
+
 }  // namespace bp::net::sockops

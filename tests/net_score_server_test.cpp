@@ -102,7 +102,9 @@ class NetScoreServerTest : public ::testing::Test {
  protected:
   void StartServer(ScoreServerConfig config = small_config(),
                    bool publish = true) {
-    if (publish) ASSERT_TRUE(models_.publish(tiny_model()));
+    if (publish) {
+      ASSERT_TRUE(models_.publish(tiny_model()));
+    }
     server_ = std::make_unique<ScoreServer>(models_, std::move(config));
     ASSERT_TRUE(server_->running()) << server_->error();
   }
