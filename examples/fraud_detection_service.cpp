@@ -259,8 +259,7 @@ int main(int argc, char** argv) {
                               serve::kLatencyBudgetMicros);
   window.track("answered", "bp_serve_latency_micros");  // histogram count
   window.track_sum("bad_responses",
-                   {"bp_serve_shed_total", "bp_serve_deadline_exceeded_total",
-                    "bp_serve_rejected_total"});
+                   {"bp_serve_shed_total", "bp_serve_rejected_total"});
   window.track_sum("responses",
                    {"bp_serve_scored_total", "bp_serve_degraded_total",
                     "bp_serve_shed_total", "bp_serve_rejected_total"});

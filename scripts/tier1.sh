@@ -254,10 +254,9 @@ echo "network chaos smoke ok (scored verdicts through an armed relay)"
 if [[ -n "${BP_SANITIZE:-}" ]]; then
   san_dir="build-${BP_SANITIZE}"
   echo "== ${BP_SANITIZE} sanitizer pass over the whole suite =="
-  # Warnings stay warnings here: sanitizer instrumentation makes GCC
-  # report maybe-uninitialized on code the plain build compiles clean.
+  # Warnings fail the sanitizer build too, as in the plain build above.
   cmake -B "${san_dir}" -S . -DBP_SANITIZE="${BP_SANITIZE}" \
-    -DCMAKE_COMPILE_WARNING_AS_ERROR=OFF
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build "${san_dir}" -j
   # Every registered test, examples included: a race is only visible
   # to the sanitizer in a suite that runs it, so there is no name filter

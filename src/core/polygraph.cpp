@@ -108,119 +108,129 @@ TrainingSummary Polygraph::train(const ml::Matrix& features,
     stage_begin_us = now_us;
   };
 
-  // Profiler attribution: the active stage is marked by re-emplacing one
-  // tag scope (destroy pops the old tag, construct pushes the new one),
-  // so samples landing in this thread carry train.<stage>.
+  // Profiler attribution: each stage runs inside its own tag scope, so
+  // samples landing in this thread carry train.<stage>.
   PROF_SCOPE("train");
-  std::optional<obs::prof::TagScope> stage_scope;
-  stage_scope.emplace("train.scale");
 
   // 1. Collapse + scale.  The corpus becomes its multiset of distinct
   //    (feature row, UA key) entries with counts, in canonical order;
   //    every later stage runs on the entries, weighted by their counts.
   //    Deviation-based columns are standardized; time-based presence
   //    bits pass through (§6.4.1).
-  const FingerprintCounts corpus =
-      FingerprintCounts::collapse(features, user_agents);
-  summary.distinct_rows = corpus.size();
-  const auto& catalog = browser::FeatureCatalog::instance();
-  std::vector<bool> scale_column;
-  scale_column.reserve(config_.feature_indices.size());
-  for (std::size_t idx : config_.feature_indices) {
-    scale_column.push_back(catalog.spec(idx).kind ==
-                           browser::FeatureKind::kDeviationBased);
+  FingerprintCounts corpus;
+  ml::Matrix scaled;
+  {
+    PROF_SCOPE("train.scale");
+    corpus = FingerprintCounts::collapse(features, user_agents);
+    summary.distinct_rows = corpus.size();
+    const auto& catalog = browser::FeatureCatalog::instance();
+    std::vector<bool> scale_column;
+    scale_column.reserve(config_.feature_indices.size());
+    for (std::size_t idx : config_.feature_indices) {
+      scale_column.push_back(catalog.spec(idx).kind ==
+                             browser::FeatureKind::kDeviationBased);
+    }
+    scaler_.fit(corpus.features, scale_column, corpus.counts);
+    scaled = scaler_.transform(corpus.features);
+    summary.timings.scale = lap();
+    emit_span("scale", 2);
   }
-  scaler_.fit(corpus.features, scale_column, corpus.counts);
-  const ml::Matrix scaled = scaler_.transform(corpus.features);
-  summary.timings.scale = lap();
-  emit_span("scale", 2);
-  stage_scope.emplace("train.filter");
 
   // 2. Outlier filtering (§6.4.1): scores are computed once per entry;
   //    the tie rule of IsolationForest::inlier_mask decides how much of
   //    the boundary entry's count goes.  Entries left with no rows drop.
-  ml::IsolationForestConfig forest_config;
-  forest_config.seed = config_.seed ^ 0xF0E1D2C3ULL;
-  ml::IsolationForest forest(forest_config);
-  forest.fit(scaled, corpus.counts);
-  const std::vector<std::size_t> kept =
-      forest.inlier_mask(scaled, config_.contamination, corpus.counts);
   ml::Matrix inliers;
   std::vector<std::size_t> counts;
   std::vector<std::uint32_t> keys;
-  std::size_t rows_kept = 0;
-  for (std::size_t e = 0; e < corpus.size(); ++e) {
-    if (kept[e] == 0) continue;
-    inliers.push_row(scaled.row(e));
-    counts.push_back(kept[e]);
-    keys.push_back(corpus.user_agents[e].key());
-    rows_kept += kept[e];
+  {
+    PROF_SCOPE("train.filter");
+    ml::IsolationForestConfig forest_config;
+    forest_config.seed = config_.seed ^ 0xF0E1D2C3ULL;
+    ml::IsolationForest forest(forest_config);
+    forest.fit(scaled, corpus.counts);
+    const std::vector<std::size_t> kept =
+        forest.inlier_mask(scaled, config_.contamination, corpus.counts);
+    std::size_t rows_kept = 0;
+    for (std::size_t e = 0; e < corpus.size(); ++e) {
+      if (kept[e] == 0) continue;
+      inliers.push_row(scaled.row(e));
+      counts.push_back(kept[e]);
+      keys.push_back(corpus.user_agents[e].key());
+      rows_kept += kept[e];
+    }
+    summary.rows_outliers_removed = summary.rows_total - rows_kept;
+    summary.timings.filter = lap();
+    emit_span("filter", 3);
   }
-  summary.rows_outliers_removed = summary.rows_total - rows_kept;
-  summary.timings.filter = lap();
-  emit_span("filter", 3);
-  stage_scope.emplace("train.pca");
 
   // 3. PCA (§6.4.2).
-  pca_.fit(inliers, config_.pca_components, counts);
-  const ml::Matrix projected = pca_.transform(inliers);
-  summary.timings.pca = lap();
-  emit_span("pca", 4);
-  stage_scope.emplace("train.kmeans");
+  ml::Matrix projected;
+  {
+    PROF_SCOPE("train.pca");
+    pca_.fit(inliers, config_.pca_components, counts);
+    projected = pca_.transform(inliers);
+    summary.timings.pca = lap();
+    emit_span("pca", 4);
+  }
 
   // 4. k-means (§6.4.3).
-  ml::KMeansConfig kconfig;
-  kconfig.k = config_.k;
-  kconfig.seed = config_.seed;
-  kconfig.n_init = config_.kmeans_restarts;
-  kmeans_ = ml::KMeans(kconfig);
-  kmeans_.fit(projected, counts);
-  summary.wcss = kmeans_.inertia();
-  summary.timings.kmeans = lap();
-  emit_span("kmeans", 5);
-  stage_scope.emplace("train.table");
-
-  // 5. Majority-cluster table + training accuracy (Appendix-4 Formula 1),
-  //    both counting corpus rows.
-  const ml::ClusterAccuracy accuracy =
-      ml::clustering_accuracy(keys, kmeans_.labels(), counts);
-  summary.clustering_accuracy = accuracy.row_accuracy;
-
-  table_ = ClusterTable();
-  std::map<std::uint32_t, ua::UserAgent> key_to_ua;
-  for (const ua::UserAgent& ua : corpus.user_agents) {
-    key_to_ua.emplace(ua.key(), ua);
-  }
-  for (const auto& [key, cluster] : accuracy.majority) {
-    table_.assign(key_to_ua.at(key), cluster);
+  {
+    PROF_SCOPE("train.kmeans");
+    ml::KMeansConfig kconfig;
+    kconfig.k = config_.k;
+    kconfig.seed = config_.seed;
+    kconfig.n_init = config_.kmeans_restarts;
+    kmeans_ = ml::KMeans(kconfig);
+    kmeans_.fit(projected, counts);
+    summary.wcss = kmeans_.inertia();
+    summary.timings.kmeans = lap();
+    emit_span("kmeans", 5);
   }
 
-  // 6. Rare-label re-alignment (§6.4.3): user-agents with too few rows
-  //    get their cluster from the legitimate baseline fingerprint of the
-  //    candidate-generation stage rather than from noisy live data.  A
-  //    user-agent whose every row the filter removed has zero rows left
-  //    and is re-aligned the same way, so it stays in the table.
-  if (config_.align_rare_labels) {
-    std::map<std::uint32_t, std::size_t> label_rows;
-    for (std::size_t e = 0; e < keys.size(); ++e) {
-      label_rows[keys[e]] += counts[e];
+  {
+    PROF_SCOPE("train.table");
+    // 5. Majority-cluster table + training accuracy (Appendix-4
+    //    Formula 1), both counting corpus rows.
+    const ml::ClusterAccuracy accuracy =
+        ml::clustering_accuracy(keys, kmeans_.labels(), counts);
+    summary.clustering_accuracy = accuracy.row_accuracy;
+
+    table_ = ClusterTable();
+    std::map<std::uint32_t, ua::UserAgent> key_to_ua;
+    for (const ua::UserAgent& ua : corpus.user_agents) {
+      key_to_ua.emplace(ua.key(), ua);
     }
-    const auto& db = browser::ReleaseDatabase::instance();
-    for (const auto& [key, ua] : key_to_ua) {
-      if (label_rows[key] >= config_.rare_label_min_rows) continue;
-      const auto* release = db.find(ua);
-      if (release == nullptr) continue;
-      const std::vector<double> baseline = baseline_features(*release);
-      const std::size_t aligned = predict_cluster(baseline);
-      if (table_.expected_cluster(ua) != aligned) {
-        table_.assign(ua, aligned);
-        ++summary.labels_realigned;
+    for (const auto& [key, cluster] : accuracy.majority) {
+      table_.assign(key_to_ua.at(key), cluster);
+    }
+
+    // 6. Rare-label re-alignment (§6.4.3): user-agents with too few
+    //    rows get their cluster from the legitimate baseline fingerprint
+    //    of the candidate-generation stage rather than from noisy live
+    //    data.  A user-agent whose every row the filter removed has zero
+    //    rows left and is re-aligned the same way, so it stays in the
+    //    table.
+    if (config_.align_rare_labels) {
+      std::map<std::uint32_t, std::size_t> label_rows;
+      for (std::size_t e = 0; e < keys.size(); ++e) {
+        label_rows[keys[e]] += counts[e];
+      }
+      const auto& db = browser::ReleaseDatabase::instance();
+      for (const auto& [key, ua] : key_to_ua) {
+        if (label_rows[key] >= config_.rare_label_min_rows) continue;
+        const auto* release = db.find(ua);
+        if (release == nullptr) continue;
+        const std::vector<double> baseline = baseline_features(*release);
+        const std::size_t aligned = predict_cluster(baseline);
+        if (table_.expected_cluster(ua) != aligned) {
+          table_.assign(ua, aligned);
+          ++summary.labels_realigned;
+        }
       }
     }
+    summary.timings.table = lap();
+    emit_span("table", 6);
   }
-  summary.timings.table = lap();
-  emit_span("table", 6);
-  stage_scope.reset();
   summary.timings.total =
       std::chrono::duration<double>(Clock::now() - stage_start).count();
 

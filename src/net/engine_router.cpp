@@ -74,7 +74,6 @@ serve::MetricsSnapshot EngineRouter::metrics() const {
     total.rejected += shard.rejected;
     total.batches += shard.batches;
     total.cached += shard.cached;
-    total.deadline_exceeded += shard.deadline_exceeded;
     total.degraded += shard.degraded;
     total.stalled_workers += shard.stalled_workers;
     total.queue_depth += shard.queue_depth;
@@ -87,10 +86,6 @@ serve::MetricsSnapshot EngineRouter::metrics() const {
   }
   total.model_version = registry_.version();
   return total;
-}
-
-serve::CacheStats EngineRouter::shard_cache_stats(std::size_t shard) const {
-  return engines_[shard]->cache_stats();
 }
 
 serve::CacheStats EngineRouter::cache_stats() const {

@@ -52,7 +52,7 @@ struct RouterConfig {
   std::size_t shards = 0;
   // Per-shard template.  `workers` and `queue_capacity` apply to each
   // shard; `metrics_prefix` is the base the per-shard "_shard<i>"
-  // suffix is appended to.  trace/audit planes, deadline and
+  // suffix is appended to.  trace/audit planes and
   // degrade_without_model pass through unchanged.
   serve::EngineConfig engine;
 };
@@ -95,12 +95,10 @@ class EngineRouter {
   // queue_depth sums; model_version is the registry's (shared).
   serve::MetricsSnapshot metrics() const;
 
-  // Per-shard verdict-cache counters (all-zero when
-  // engine.cache_capacity is 0) and their cross-shard fold.  Each shard
-  // owns an independent cache — the splitmix64 session affinity is what
-  // keeps a session's entries resident on the shard that will see its
-  // next request.
-  serve::CacheStats shard_cache_stats(std::size_t shard) const;
+  // Verdict-cache counters folded across shards (all-zero when
+  // engine.cache_capacity is 0).  Each shard owns an independent cache
+  // — the splitmix64 session affinity is what keeps a session's entries
+  // resident on the shard that will see its next request.
   serve::CacheStats cache_stats() const;
 
   std::uint64_t model_version() const noexcept { return registry_.version(); }

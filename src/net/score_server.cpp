@@ -1,5 +1,6 @@
 #include "net/score_server.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/export.h"
@@ -23,7 +24,7 @@ HttpResponse plain(int status, std::string body) {
 ScoreServer::ScoreServer(const serve::ModelRegistry& models,
                          ScoreServerConfig config)
     : config_(std::move(config)),
-      slots_(config_.max_inflight == 0 ? 1 : config_.max_inflight),
+      slots_(std::max<std::size_t>(config_.listener.handler_threads, 1)),
       router_(models, config_.router,
               [this](const serve::ScoreResponse& response) {
                 dispatch(response);

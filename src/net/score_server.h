@@ -10,26 +10,26 @@
 //
 // Overload posture, outermost first:
 //
-//   1. shed-at-accept    — the listener drops connections beyond its
-//                          bounded pending queue (overloaded());
-//   2. in-flight budget  — a fixed slot table caps requests admitted
-//                          but not yet answered across all
-//                          connections.  Slot exhausted -> 503 with
-//                          "in-flight budget exhausted" (counted in
-//                          admission_rejected()); the slot index
-//                          doubles as the engine correlation id, so
-//                          dispatching a response back to its waiting
-//                          handler is an array index, not a map;
-//   3. engine policy     — each shard's bounded queue applies the
-//                          EngineConfig overflow policy: kReject
-//                          answers 503 immediately, kDropOldest
-//                          displaces the oldest queued request, whose
-//                          handler answers its client with an explicit
-//                          "shed" wire frame.  (kBlock would park a
-//                          handler thread on a full queue — legal, but
-//                          the ingress default is kReject: at the
-//                          network edge, backpressure means telling
-//                          the client, not holding its socket.)
+//   1. shed-at-accept — the listener drops connections beyond its
+//                       bounded pending queue (overloaded());
+//   2. engine policy  — each shard's bounded queue applies the
+//                       EngineConfig overflow policy: kReject answers
+//                       503 "shard queue full" immediately.  (kBlock
+//                       would park a handler thread on a full queue —
+//                       legal, but the ingress default is kReject: at
+//                       the network edge, backpressure means telling
+//                       the client, not holding its socket.)
+//
+// Between the two sits the response-slot table, one slot per handler
+// thread: a handler blocks in handle() on one verdict at a time, so
+// live slots never outnumber the handler pool.  The slot index doubles
+// as the engine correlation id, so dispatching a response back to its
+// waiting handler is an array index, not a map.  A handler that waits
+// past `response_timeout` answers 503 "scoring timeout" and leaves its
+// slot marked abandoned until the late delivery reclaims it.  Only
+// while abandoned slots are outstanding can a handler find the table
+// empty; it then answers 503 "in-flight budget exhausted" (counted in
+// admission_rejected()).
 //
 // Ordered teardown (stop()): stop intake (listener stops accepting,
 // handlers answer in-flight frames but admit no new ones) -> drain
@@ -60,10 +60,6 @@ struct ScoreServerConfig {
   ListenerConfig listener;
   RouterConfig router;
 
-  // Requests admitted (slot held) but not yet answered, across all
-  // connections.  Also the hard bound on handler-blocked memory.
-  std::size_t max_inflight = 1024;
-
   // Expected feature-vector length; frames with any other length are
   // refused with 400 before touching a slot.  0 = accept any length
   // (only for tests that control every client).
@@ -75,9 +71,9 @@ struct ScoreServerConfig {
   // response arrives.
   std::chrono::milliseconds response_timeout{10'000};
 
-  // Ingress counters land here when set ("<metrics_prefix>_ingress_*",
-  // plus an "<metrics_prefix>_inflight" callback gauge and the
-  // listener's "<metrics_prefix>_http_*" hardening gauges via
+  // Ingress instruments land here when set (an
+  // "<metrics_prefix>_inflight" callback gauge, bp_trace_adopted_total
+  // and the listener's "<metrics_prefix>_http_*" hardening gauges via
   // obs/export.h); the router's per-shard instruments are configured
   // via router.engine.registry.
   obs::MetricsRegistry* registry = nullptr;

@@ -24,7 +24,7 @@
 //               engine's risk path handles it) — only an empty field is
 //   f0..fN-1    space-separated int32 fingerprint features, in the
 //               model's feature-index order (1..kMaxWireFeatures)
-//   status      scored | shed | deadline | degraded
+//   status      scored | shed | degraded
 //   ext         optional extension segments, each `<tag>:<payload>`
 //               where <tag> is 1+ lowercase letters.  A peer that does
 //               not know a well-formed tag ignores it — that is how a

@@ -147,15 +147,8 @@ SubmitResult ScoringEngine::submit_miss(ScoreRequest&& request) {
   // worker may complete it, and `completed_` must never overtake
   // `admitted_` or drain() would return early.
   admitted_.fetch_add(1, std::memory_order_acq_rel);
-  std::optional<ScoreRequest> displaced;
-  switch (queue_.push(std::move(request), displaced)) {
+  switch (queue_.push(std::move(request))) {
     case PushResult::kAccepted:
-      return SubmitResult::kAdmitted;
-    case PushResult::kDisplacedOldest:
-      // The new request is admitted; the oldest queued one is completed
-      // here and now as an explicit shed.
-      respond_unscored(*displaced, ResponseStatus::kShed, 0);
-      note_completed(1);
       return SubmitResult::kAdmitted;
     case PushResult::kRejected:
       retract_admission();
@@ -195,10 +188,6 @@ void ScoringEngine::respond(const ScoreRequest& request,
     case ResponseStatus::kShed:
       metrics_.record_shed(worker);
       break;
-    case ResponseStatus::kDeadlineExceeded:
-      terminal = "deadline";
-      metrics_.record_deadline_exceeded(worker);
-      break;
   }
   record_audit(request, response);
   record_request_trace(request, terminal, done_us - response.latency.count(),
@@ -206,13 +195,12 @@ void ScoringEngine::respond(const ScoreRequest& request,
   if (on_response_) on_response_(response);
 }
 
-void ScoringEngine::respond_unscored(const ScoreRequest& request,
-                                     ResponseStatus status,
-                                     std::uint32_t worker_index) {
+void ScoringEngine::respond_shed(const ScoreRequest& request,
+                                 std::uint32_t worker_index) {
   const std::int64_t now_us = steady_now_us();
   respond(request,
           {.id = request.id,
-           .status = status,
+           .status = ResponseStatus::kShed,
            .detection = {},
            .worker = worker_index,
            .latency = since_admission(request, now_us)},
@@ -266,7 +254,7 @@ void ScoringEngine::record_audit(const ScoreRequest& request,
   if (audit == nullptr) return;
   if (response.status != ResponseStatus::kScored &&
       response.status != ResponseStatus::kDegraded) {
-    return;  // sheds/deadline misses carry no verdict to audit
+    return;  // sheds carry no verdict to audit
   }
   const bool flagged = response.detection.flagged;
   if (!flagged && !audit->sample_unflagged(request.id)) return;
@@ -331,12 +319,7 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
       // tells the caller no fingerprint evidence was used.
       PROF_SCOPE("serve.degraded");
       for (const ScoreRequest& request : batch) {
-        const auto picked_up = std::chrono::steady_clock::now();
-        if (past_deadline(request, picked_up)) {
-          respond_unscored(request, ResponseStatus::kDeadlineExceeded,
-                           worker_index);
-          continue;
-        }
+        const std::int64_t picked_up_us = steady_now_us();
         const core::Detection detection = degraded_score(request.claimed);
         const std::int64_t done_us = steady_now_us();
         respond(request,
@@ -345,7 +328,7 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
                  .detection = detection,
                  .worker = worker_index,
                  .latency = since_admission(request, done_us)},
-                to_us(picked_up), done_us);
+                picked_up_us, done_us);
       }
       note_completed(batch.size());
       heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
@@ -360,28 +343,21 @@ void ScoringEngine::worker_loop(std::uint32_t worker_index) {
       // Stopped before any model was ever published: complete the batch
       // as shed so no admitted request is left without a response.
       for (const ScoreRequest& request : batch) {
-        respond_unscored(request, ResponseStatus::kShed, worker_index);
+        respond_shed(request, worker_index);
       }
       note_completed(batch.size());
       heartbeat.busy_since_us.store(0, std::memory_order_relaxed);
       continue;
     }
     metrics_.record_batch(worker_index, batch.size());
-    const auto picked_up = std::chrono::steady_clock::now();
-    const std::int64_t picked_up_us = to_us(picked_up);
-    // Triage pass: deadline misses out, repeat sessions replayed from
-    // the cache (re-checked here against the *batch's* snapshot version
+    const std::int64_t picked_up_us = steady_now_us();
+    // Triage pass: repeat sessions replayed from the cache (re-checked here against the *batch's* snapshot version
     // — a hot swap between submit and pickup must not replay an older
     // model's verdict), the rest staged for the fused kernel.
     pending.clear();
     PROF_SCOPE("serve.batch");
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const ScoreRequest& request = batch[i];
-      if (past_deadline(request, picked_up)) {
-        respond_unscored(request, ResponseStatus::kDeadlineExceeded,
-                         worker_index);
-        continue;
-      }
       core::Detection detection;
       if (cache_ != nullptr &&
           cache_->lookup(request.cache_key, snapshot.version, detection,

@@ -12,19 +12,19 @@
 //
 // Invariants the tests pin down:
 //   * every admitted request produces exactly one response — a score
-//     (kScored), an explicit shed (kShed), a deadline miss
-//     (kDeadlineExceeded) or a model-less fallback verdict (kDegraded);
-//     a rejected submission produces none and is reported synchronously;
+//     (kScored), an explicit shed (kShed, stopped before any model was
+//     published) or a model-less fallback verdict (kDegraded); a
+//     rejected submission produces none and is reported synchronously;
 //   * a batch is scored by exactly one published model version (the
 //     snapshot is taken once per batch), and every response names the
-//     version that produced it (0 for sheds/deadline/degraded);
+//     version that produced it (0 for sheds/degraded);
 //   * the worker hot path performs no per-session allocation: requests
 //     are moved through the queue and each drained batch is scored in
 //     one fused pass through Polygraph::score_batch (a per-worker
 //     BatchScratch holds the SoA panels) — the same kernel a
 //     single-session Polygraph::score runs, so the same bits;
 //   * every answer — scored, cached (at submit or at pickup), degraded,
-//     shed, deadline — goes out through one respond step that records
+//     shed — goes out through one respond step that records
 //     the status's metric, then the audit record, then the trace spans,
 //     and calls the response callback last;
 //   * with EngineConfig::cache_capacity > 0, a verdict cache
@@ -35,9 +35,9 @@
 //     older entry (version-keyed lookups — see serve/verdict_cache.h).
 //
 // Failure posture (the robustness layer):
-//   * `deadline` bounds how stale an answer may be: a request that
-//     waited past its deadline is answered kDeadlineExceeded instead of
-//     being scored late (§3's ~100 ms budget made explicit);
+//   * the bounded queue's overflow policy (kBlock or kReject) is the
+//     engine's only admission control: overload is pushed back to the
+//     submitter or refused synchronously, never answered late;
 //   * `degrade_without_model` keeps the engine answering when nothing
 //     is published: the UA-prior fallback (serve/degraded.h) scores the
 //     claimed UA alone and the response is marked kDegraded, instead of
@@ -46,8 +46,8 @@
 //     stuck inside one batch longer than `stall_threshold` and surfaces
 //     the count as MetricsSnapshot::stalled_workers.
 //
-// The callback runs on worker threads (and, for displaced-by-overflow
-// sheds, on the submitting thread); it must be thread-safe and cheap.
+// The callback runs on worker threads (and, for submit-side cache hits,
+// on the submitting thread); it must be thread-safe and cheap.
 #pragma once
 
 #include <chrono>
@@ -103,8 +103,7 @@ inline constexpr std::uint32_t adopted_span_base(
 
 enum class ResponseStatus : std::uint8_t {
   kScored,
-  kShed,  // displaced under OverflowPolicy::kDropOldest; detection empty
-  kDeadlineExceeded,  // answered past EngineConfig::deadline; not scored
+  kShed,  // stopped before any model was published; detection empty
   kDegraded,  // no model published; UA-prior fallback verdict in detection
 };
 
@@ -137,16 +136,11 @@ struct EngineConfig {
   // cache (rounded up to a power of two); 0 disables it.  With the
   // cache on, submit() answers repeat sessions synchronously on the
   // submitting thread (the response callback runs before submit
-  // returns, as it already can for displaced sheds), and workers check
-  // it again per request against the batch's snapshot version before
-  // falling through to the SoA kernel.  Version-keyed entries make a
+  // returns), and workers check it again per request against the
+  // batch's snapshot version before falling through to the SoA kernel.  Version-keyed entries make a
   // registry hot swap an atomic whole-cache invalidation.  Counters
   // appear under `<metrics_prefix>_cache_*`.
   std::size_t cache_capacity = 0;
-
-  // Per-request deadline, measured from admission.  Zero disables: a
-  // request is then scored no matter how long it queued.
-  std::chrono::milliseconds deadline{0};
 
   // Answer with the UA-prior fallback (kDegraded) when no model is
   // published, instead of parking requests until one appears.
@@ -174,7 +168,7 @@ struct EngineConfig {
   // decided deterministically by the sink) the engine records spans:
   //   1 "request"    admission -> response          (root)
   //   2 "queue_wait" admission -> batch pickup      (parent 1)
-  //   3 terminal     "score" | "degrade" | "shed" | "deadline" (parent 1)
+  //   3 terminal     "score" | "cache_hit" | "degrade" | "shed" (parent 1)
   // A request carrying an adopted cross-hop context (trace_id != 0)
   // instead records "server_request"/"queue_wait"/terminal at
   // adopted_span_base(trace_parent)+{1,2,3} under the client's trace
@@ -257,10 +251,8 @@ class ScoringEngine {
   // not touch the completion accounting; callers do.
   void respond(const ScoreRequest& request, const ScoreResponse& response,
                std::int64_t picked_up_us, std::int64_t done_us);
-  // respond() with a verdict-less status (kShed, kDeadlineExceeded),
-  // picked up and answered now.
-  void respond_unscored(const ScoreRequest& request, ResponseStatus status,
-                        std::uint32_t worker_index);
+  // respond() with kShed and no verdict, picked up and answered now.
+  void respond_shed(const ScoreRequest& request, std::uint32_t worker_index);
   // Submit-side cache fast path; true = answered, request not admitted.
   bool try_cached_submit(const ScoreRequest& request);
   // The queue path both public submit overloads fall through to after
@@ -268,12 +260,6 @@ class ScoringEngine {
   SubmitResult submit_miss(ScoreRequest&& request);
   void note_completed(std::uint64_t n);
   void retract_admission();
-  bool past_deadline(
-      const ScoreRequest& request,
-      std::chrono::steady_clock::time_point now) const noexcept {
-    return config_.deadline.count() > 0 &&
-           now - request.admitted_at > config_.deadline;
-  }
 
   const ModelRegistry& registry_;
   EngineConfig config_;

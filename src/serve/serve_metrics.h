@@ -67,12 +67,11 @@ inline constexpr std::array<std::uint64_t, 9> kBatchSizeBucketBounds = {
 struct MetricsSnapshot {
   std::uint64_t scored = 0;    // responses delivered with a detection
   std::uint64_t flagged = 0;   // scored responses with detection.flagged
-  std::uint64_t shed = 0;      // responses delivered as shed (DropOldest)
+  std::uint64_t shed = 0;      // responses delivered as shed
   std::uint64_t rejected = 0;  // submissions refused at admission (Reject)
   std::uint64_t batches = 0;   // worker batch iterations
   std::uint64_t cached = 0;    // scored responses answered by the
                                // verdict cache (subset of `scored`)
-  std::uint64_t deadline_exceeded = 0;  // answered past their deadline
   std::uint64_t degraded = 0;  // answered by the UA-prior fallback scorer
   std::uint64_t stalled_workers = 0;  // watchdog gauge, at snapshot time
   std::uint64_t queue_depth = 0;  // instantaneous, at snapshot time
@@ -131,7 +130,6 @@ class ServeMetrics {
   // One worker drain of `batch_size` requests (feeds the batch-size
   // histogram, so /statusz can show how full the SoA kernel runs).
   void record_batch(std::size_t worker, std::uint64_t batch_size) noexcept;
-  void record_deadline_exceeded(std::size_t worker) noexcept;
   void record_degraded(std::size_t worker, bool flagged,
                        std::uint64_t latency_micros,
                        std::uint64_t exemplar_trace_id = 0) noexcept;
@@ -167,7 +165,6 @@ class ServeMetrics {
   obs::Counter* rejected_;
   obs::Counter* batches_;
   obs::Counter* cached_;
-  obs::Counter* deadline_exceeded_;
   obs::Counter* degraded_;
   obs::Histogram* latency_;
   obs::Histogram* batch_size_;

@@ -141,18 +141,17 @@ bool VerdictCache::lookup(const Key& key, std::uint64_t version,
   for (int attempt = 0; attempt < 2; ++attempt) {
     const std::uint32_t seq_before = slot.seq.load(std::memory_order_acquire);
     if ((seq_before & 1) != 0) continue;  // write in progress
-    const std::uint64_t entry_key = slot.key.load(std::memory_order_relaxed);
+    const std::uint64_t entry_key = slot.key.load(std::memory_order_acquire);
     const std::uint64_t entry_check =
-        slot.check.load(std::memory_order_relaxed);
+        slot.check.load(std::memory_order_acquire);
     const std::uint64_t entry_version =
-        slot.version.load(std::memory_order_relaxed);
+        slot.version.load(std::memory_order_acquire);
     const std::uint64_t verdict_a =
-        slot.verdict_a.load(std::memory_order_relaxed);
+        slot.verdict_a.load(std::memory_order_acquire);
     const std::uint64_t verdict_b =
-        slot.verdict_b.load(std::memory_order_relaxed);
+        slot.verdict_b.load(std::memory_order_acquire);
     const std::uint64_t distance_bits =
-        slot.distance_bits.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+        slot.distance_bits.load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != seq_before) {
       continue;  // torn by a concurrent writer; retry once
     }
@@ -188,18 +187,20 @@ void VerdictCache::insert(const Key& key, std::uint64_t version,
     insert_cas_losses_->record_event();
     return;  // lost the race; inserts are best-effort
   }
-  // Exclusive between the CAS and the release below.
+  // Exclusive between the CAS and the release below.  Each word is a
+  // release store, so a reader that loads it (acquire) is ordered after
+  // the odd sequence number above and fails its re-check.
   const std::uint64_t old_key = slot.key.load(std::memory_order_relaxed);
   const std::uint64_t old_version =
       slot.version.load(std::memory_order_relaxed);
-  slot.key.store(key.primary, std::memory_order_relaxed);
-  slot.check.store(key.check, std::memory_order_relaxed);
-  slot.version.store(version, std::memory_order_relaxed);
-  slot.verdict_a.store(pack_verdict_a(detection), std::memory_order_relaxed);
-  slot.verdict_b.store(pack_verdict_b(detection), std::memory_order_relaxed);
+  slot.key.store(key.primary, std::memory_order_release);
+  slot.check.store(key.check, std::memory_order_release);
+  slot.version.store(version, std::memory_order_release);
+  slot.verdict_a.store(pack_verdict_a(detection), std::memory_order_release);
+  slot.verdict_b.store(pack_verdict_b(detection), std::memory_order_release);
   slot.distance_bits.store(std::bit_cast<std::uint64_t>(
                                detection.centroid_distance2),
-                           std::memory_order_relaxed);
+                           std::memory_order_release);
   slot.seq.store(seq + 2, std::memory_order_release);
   inserts_->increment(stripe_hint);
   if (old_key == 0) {

@@ -27,10 +27,14 @@
 // fills.
 //
 // Concurrency.  The table is a fixed, power-of-two array of
-// direct-mapped seqlock slots.  All slot words are relaxed atomics
-// bracketed by an acquire/release sequence counter (Boehm's seqlock
-// recipe), so readers never block, writers never block readers, and
-// the whole structure is ThreadSanitizer-clean.  Concurrent writers to
+// direct-mapped seqlock slots.  Slot words are atomics bracketed by an
+// acquire/release sequence counter (Boehm's seqlock recipe, in its
+// fence-free form: writers store each word with release, readers load
+// each with acquire, so a reader that sees any word of a concurrent
+// write also sees that write's odd sequence number on its re-check).
+// Readers never block, writers never block readers, and the whole
+// structure is ThreadSanitizer-clean — there is no standalone fence,
+// which TSan cannot model.  Concurrent writers to
 // one slot are resolved by a CAS on the sequence word; the loser drops
 // its insert (inserts are best-effort — the next identical session
 // refills).

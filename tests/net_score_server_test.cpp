@@ -297,6 +297,51 @@ TEST_F(NetScoreServerTest, ShardQueueRejectIsFiveOhThree) {
   EXPECT_GT(ok.load(), 0);
 }
 
+// The response_timeout path: the slot table holds one slot per handler
+// thread, so a timed-out request's abandoned slot is the only thing that
+// can exhaust it — until the late delivery reclaims the slot.
+TEST_F(NetScoreServerTest, TimedOutSlotIsReclaimedByLateDelivery) {
+  ScoreServerConfig config = small_config();
+  config.listener.handler_threads = 1;
+  config.router.engine.degrade_without_model = false;
+  config.response_timeout = std::chrono::milliseconds(50);
+  StartServer(std::move(config), /*publish=*/false);
+  HttpClient client("127.0.0.1", server_->port());
+
+  // No model: the shard holds the request, the handler gives up.
+  HttpResult result =
+      client.post("/score", request_frame(1, "Chrome 100", {0, 0}));
+  EXPECT_EQ(result.status, 503) << result.error;
+  EXPECT_EQ(result.body, "scoring timeout\n");
+  EXPECT_EQ(server_->inflight(), 1u);  // held until the late delivery
+
+  // The only slot is abandoned, not free.
+  result = client.post("/score", request_frame(2, "Chrome 100", {0, 0}));
+  EXPECT_EQ(result.status, 503) << result.error;
+  EXPECT_EQ(result.body, "in-flight budget exhausted\n");
+  EXPECT_EQ(server_->admission_rejected(), 1u);
+
+  // Publishing lets the shard answer the first request; that delivery
+  // finds the slot abandoned and frees it.
+  ASSERT_TRUE(models_.publish(tiny_model()));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server_->inflight() != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server_->inflight(), 0u);
+
+  result = client.post("/score", request_frame(3, "Chrome 100", {0, 0}));
+  ASSERT_EQ(result.status, 200) << result.error;
+  WireScoreResponse verdict;
+  ASSERT_EQ(parse_score_response(result.body, &verdict), WireError::kOk);
+  EXPECT_EQ(verdict.session_id, 3u);
+  EXPECT_EQ(verdict.status, serve::ResponseStatus::kScored);
+  EXPECT_EQ(verdict.model_version, 1u);
+  EXPECT_EQ(server_->responses(), 1u);
+}
+
 // ------------------------- hot swap under client load -------------------------
 
 // The concurrent soak the sanitizers run: pipelined keep-alive clients

@@ -88,7 +88,6 @@ TEST(NetWire, ResponseRoundTrip) {
 TEST(NetWire, ResponseRoundTripsEveryStatus) {
   for (const serve::ResponseStatus status :
        {serve::ResponseStatus::kScored, serve::ResponseStatus::kShed,
-        serve::ResponseStatus::kDeadlineExceeded,
         serve::ResponseStatus::kDegraded}) {
     WireScoreResponse response;
     response.session_id = 1;

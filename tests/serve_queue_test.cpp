@@ -35,26 +35,11 @@ TEST(BoundedQueue, PopBatchCapsAtMaxAndDrainsFifo) {
   EXPECT_EQ(batch.back(), 9);
 }
 
-TEST(BoundedQueue, DropOldestReturnsDisplacedItem) {
-  BoundedQueue<int> queue(3, OverflowPolicy::kDropOldest);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(queue.push(i), PushResult::kAccepted);
-  std::optional<int> displaced;
-  EXPECT_EQ(queue.push(3, displaced), PushResult::kDisplacedOldest);
-  ASSERT_TRUE(displaced.has_value());
-  EXPECT_EQ(*displaced, 0);  // oldest shed; freshest kept
-  EXPECT_EQ(queue.size(), 3u);
-  int out = -1;
-  ASSERT_TRUE(queue.pop(out));
-  EXPECT_EQ(out, 1);
-}
-
 TEST(BoundedQueue, RejectRefusesWhenFull) {
   BoundedQueue<int> queue(2, OverflowPolicy::kReject);
   EXPECT_EQ(queue.push(0), PushResult::kAccepted);
   EXPECT_EQ(queue.push(1), PushResult::kAccepted);
-  std::optional<int> displaced;
-  EXPECT_EQ(queue.push(2, displaced), PushResult::kRejected);
-  EXPECT_FALSE(displaced.has_value());
+  EXPECT_EQ(queue.push(2), PushResult::kRejected);
   EXPECT_EQ(queue.size(), 2u);  // rejected item was not enqueued
   int out = -1;
   ASSERT_TRUE(queue.pop(out));
